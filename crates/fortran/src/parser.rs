@@ -311,10 +311,7 @@ fn parse_head(rest: &str, kind: UnitKind, _strings: &[String]) -> Result<Option<
         }
         None => (rest.to_string(), Vec::new()),
     };
-    if name.is_empty() || !name.bytes().next().is_some_and(|b| b.is_ascii_alphabetic()) {
-        return Ok(None);
-    }
-    if !name.bytes().all(|b| b.is_ascii_alphanumeric() || b == b'_') {
+    if !is_ident(&name) {
         return Ok(None);
     }
     for p in &params {
@@ -345,10 +342,7 @@ fn try_parse_do(rest: &str, strings: &[String]) -> Result<Option<Flat>, String> 
         None => return Ok(None),
     };
     let var = &after[..eq];
-    if var.is_empty()
-        || !var.bytes().next().is_some_and(|b| b.is_ascii_alphabetic())
-        || !var.bytes().all(|b| b.is_ascii_alphanumeric() || b == b'_')
-    {
+    if !is_ident(var) {
         return Ok(None);
     }
     let spec = &after[eq + 1..];
@@ -428,33 +422,43 @@ fn parse_entity_list(text: &str, strings: &[String]) -> Result<Vec<Declared>, St
         if part.is_empty() {
             continue;
         }
-        match part.find('(') {
-            Some(p) => {
-                let name = part[..p].to_string();
-                let inner = &part[p + 1..];
-                let close = matching_paren(inner).ok_or("unbalanced parentheses in declarator")?;
-                let mut dims = Vec::new();
-                for d in split_top_level(&inner[..close], b',') {
-                    let pieces = split_top_level(d, b':');
-                    let dim = match pieces.as_slice() {
-                        [u] => DimBound::to_upper(parse_expr_str(u, strings)?),
-                        [l, u] => DimBound {
-                            lower: parse_expr_str(l, strings)?,
-                            upper: parse_expr_str(u, strings)?,
-                        },
-                        _ => return Err(format!("bad dimension '{d}'")),
-                    };
-                    dims.push(dim);
-                }
-                out.push(Declared { name, dims });
-            }
-            None => out.push(Declared {
-                name: part.to_string(),
-                dims: Vec::new(),
-            }),
+        let (name, dims_text) = match part.find('(') {
+            Some(p) => (&part[..p], Some(&part[p + 1..])),
+            None => (part, None),
+        };
+        // Only identifiers: anything else would print as text that no
+        // longer reparses (e.g. `COMMON *B/ X` → `COMMON // *B/X`).
+        if !is_ident(name) {
+            return Err(format!("bad declarator name '{name}'"));
         }
+        let mut dims = Vec::new();
+        if let Some(inner) = dims_text {
+            let close = matching_paren(inner).ok_or("unbalanced parentheses in declarator")?;
+            for d in split_top_level(&inner[..close], b',') {
+                let pieces = split_top_level(d, b':');
+                let dim = match pieces.as_slice() {
+                    [u] => DimBound::to_upper(parse_expr_str(u, strings)?),
+                    [l, u] => DimBound {
+                        lower: parse_expr_str(l, strings)?,
+                        upper: parse_expr_str(u, strings)?,
+                    },
+                    _ => return Err(format!("bad dimension '{d}'")),
+                };
+                dims.push(dim);
+            }
+        }
+        out.push(Declared {
+            name: name.to_string(),
+            dims,
+        });
     }
     Ok(out)
+}
+
+/// A Fortran identifier: a letter, then letters, digits or `_`.
+fn is_ident(s: &str) -> bool {
+    s.bytes().next().is_some_and(|b| b.is_ascii_alphabetic())
+        && s.bytes().all(|b| b.is_ascii_alphanumeric() || b == b'_')
 }
 
 fn parse_common(rest: &str, strings: &[String]) -> Result<Vec<Decl>, String> {
@@ -1257,6 +1261,16 @@ mod tests {
             }
             d => panic!("expected COMMON, got {d:?}"),
         }
+    }
+
+    #[test]
+    fn non_identifier_declarator_is_a_parse_error() {
+        // As a name, `*DIMS/X` would print as `COMMON // *DIMS/X`,
+        // which does not reparse.
+        let (_, d) = parse("      COMMON *DIMS/ X\n      END\n");
+        assert!(d.has_errors());
+        let (_, d) = parse("      REAL A, 2B\n      END\n");
+        assert!(d.has_errors());
     }
 
     #[test]

@@ -390,6 +390,19 @@ mod tests {
     }
 
     #[test]
+    fn common_lists_roundtrip() {
+        let src = "      COMMON A, B(10)\n      COMMON /GRID/ NX, H(0:9) /AUX/ T\n      X = 1\n      END\n";
+        let printed = print_program(&parse_ok(src));
+        assert!(printed.contains("      COMMON // A, B(10)\n"), "{printed}");
+        assert!(
+            printed.contains("      COMMON /GRID/ NX, H(0:9)\n"),
+            "{printed}"
+        );
+        assert!(printed.contains("      COMMON /AUX/ T\n"), "{printed}");
+        assert_eq!(printed, print_program(&parse_ok(&printed)));
+    }
+
+    #[test]
     fn labels_right_aligned() {
         let src = "   10 CONTINUE\n      END\n";
         let p = parse_ok(src);

@@ -243,6 +243,14 @@ impl<'p> Machine<'p> {
             if let Decl::Common { block, entities } = d {
                 let bname = block.clone().unwrap_or_default();
                 let slots = &self.commons[&bname];
+                // Members bind by position against the first declaring
+                // unit's layout; the VM rejects the same program.
+                if entities.len() > slots.len() {
+                    return err(format!(
+                        "{}: COMMON /{bname}/ redeclared with more members",
+                        unit.name
+                    ));
+                }
                 for (i, e) in entities.iter().enumerate() {
                     match &slots[i].1 {
                         CommonSlot::Scalar(_) => {
@@ -1129,6 +1137,16 @@ mod tests {
         let mut counts: Vec<u64> = out.stats.loop_iterations.values().copied().collect();
         counts.sort();
         assert_eq!(counts, [7, 21]);
+    }
+
+    #[test]
+    fn common_redeclared_with_more_members_is_an_error_not_a_panic() {
+        let src = "      PROGRAM P\n      COMMON /B/ X\n      X = 1.0\n      CALL S\n      PRINT *, X\n      END\n      SUBROUTINE S\n      COMMON /B/ X, Y\n      Y = 2.0\n      END\n";
+        let e = crate::run(&parse_ok(src), RunOptions::default()).unwrap_err();
+        assert!(
+            e.0.contains("COMMON /B/ redeclared with more members"),
+            "{e:?}"
+        );
     }
 
     #[test]

@@ -40,9 +40,6 @@ pub enum Line {
 
 pub struct Conn {
     pub stream: TcpStream,
-    /// Token-reuse guard: deadline-wheel entries carry `(token, gen)`
-    /// and are ignored if the slot was since recycled.
-    pub gen: u64,
     /// Loop-relative ms of the last read/write progress; drives idle
     /// eviction.
     pub last_activity: u64,
@@ -50,21 +47,17 @@ pub struct Conn {
     /// error, or server drain); the connection closes once `wbuf`
     /// drains.
     pub closing: bool,
-    /// Write interest currently registered with the poller.
-    pub want_write: bool,
     rbuf: Vec<u8>,
     wbuf: Vec<u8>,
     wpos: usize,
 }
 
 impl Conn {
-    pub fn new(stream: TcpStream, gen: u64, now_ms: u64) -> Conn {
+    pub fn new(stream: TcpStream, now_ms: u64) -> Conn {
         Conn {
             stream,
-            gen,
             last_activity: now_ms,
             closing: false,
-            want_write: false,
             rbuf: Vec::new(),
             wbuf: Vec::new(),
             wpos: 0,
@@ -104,13 +97,6 @@ impl Conn {
             return Line::TooLong;
         }
         Line::None
-    }
-
-    /// True if at least one complete line is sitting in the read
-    /// buffer (used during drain: already-received requests are still
-    /// served, unread socket data is not).
-    pub fn has_buffered_line(&self) -> bool {
-        self.rbuf.contains(&b'\n')
     }
 
     /// Queue one response line (newline appended).
@@ -173,7 +159,7 @@ mod tests {
     #[test]
     fn lines_are_framed_like_the_blocking_reader() {
         let (server, mut client) = pair();
-        let mut conn = Conn::new(server, 0, 0);
+        let mut conn = Conn::new(server, 0);
         client.write_all(b"first\r\nsec").unwrap();
         while !matches!(conn.fill().unwrap(), Fill::Blocked) {}
         match conn.next_line(1024) {
@@ -192,7 +178,7 @@ mod tests {
     #[test]
     fn oversized_buffered_data_is_too_long() {
         let (server, mut client) = pair();
-        let mut conn = Conn::new(server, 0, 0);
+        let mut conn = Conn::new(server, 0);
         client.write_all(&[b'x'; 300]).unwrap();
         while !matches!(conn.fill().unwrap(), Fill::Blocked) {}
         // 300 bytes buffered, no newline, cap 256: framing is lost.
@@ -202,7 +188,7 @@ mod tests {
     #[test]
     fn flush_reports_backpressure_and_finishes_later() {
         let (server, client) = pair();
-        let mut conn = Conn::new(server, 0, 0);
+        let mut conn = Conn::new(server, 0);
         // Queue far more than the kernel buffers will take at once.
         let big = "y".repeat(1 << 20);
         for _ in 0..8 {

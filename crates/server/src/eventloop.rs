@@ -1,21 +1,24 @@
 //! The nonblocking event loop: one thread multiplexing many
 //! connections.
 //!
-//! Each loop owns a [`Poller`], a token-indexed slab of [`Conn`]s, and
-//! a deadline [`Wheel`] for idle eviction. The acceptor thread injects
-//! new sockets through a mutexed queue (locked once per loop
-//! iteration, never per byte); everything else — reading, framing,
-//! dispatching, partial writes — happens on the loop thread with
-//! nonblocking I/O. Readiness reports are treated strictly as *hints*:
-//! every read and write tolerates `WouldBlock`, which makes the
-//! spurious-wakeup `scan` backend correct and the epoll/poll backends
-//! robust.
+//! Each loop owns a `poll(2)` [`Poller`] and a token-indexed slab of
+//! [`Conn`]s. The acceptor thread injects new sockets through a mutexed
+//! queue (locked once per loop iteration, never per byte); everything
+//! else — reading, framing, dispatching, partial writes — happens on
+//! the loop thread with nonblocking I/O. Readiness reports are treated
+//! strictly as *hints*: every read and write tolerates `WouldBlock`, so
+//! a spurious wakeup costs one failed syscall and nothing else.
 //!
 //! Dispatch is inline: request handling is dominated by dependence
 //! analysis on in-memory sessions (microseconds to low milliseconds),
 //! so shipping work to a separate pool would cost more in handoff than
-//! it saves — and read-only methods never block on a session lock
+//! it saves — and read-only methods never wait on a session's writer
 //! thanks to the snapshot split in [`crate::manager`].
+//!
+//! Idle eviction is a linear sweep, run once per `granularity` ms: any
+//! connection with no byte movement for `conn_idle_ttl_ms` is closed.
+//! Every `poll(2)` wait already walks all registered connections, so
+//! the sweep adds nothing to the loop's order of cost.
 //!
 //! Backpressure: responses queue in the connection's write buffer and
 //! drain as the socket accepts them. A client that stops reading while
@@ -33,9 +36,8 @@
 use crate::conn::{Conn, Fill, Line};
 use crate::json::Value;
 use crate::manager::SessionManager;
-use crate::poller::{Backend, PollEvent, Poller};
+use crate::poller::{PollEvent, Poller};
 use crate::protocol::{dispatch_line, err_response};
-use crate::wheel::Wheel;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -52,7 +54,6 @@ pub(crate) struct LoopCfg {
     pub write_buf_cap: usize,
     pub conn_idle_ttl_ms: u64,
     pub drain_deadline_ms: u64,
-    pub backend: Backend,
 }
 
 /// The acceptor-to-loop handoff queue.
@@ -85,24 +86,13 @@ pub(crate) fn run_loop(
     manager: Arc<SessionManager>,
     shutdown: Arc<AtomicBool>,
 ) {
-    let mut poller = match Poller::new(cfg.backend) {
-        Ok(p) => p,
-        // A backend that cannot initialize (fd exhaustion, exotic
-        // platform) degrades to the pure-std scan backend rather than
-        // killing the loop.
-        Err(_) => match Poller::new(Backend::Scan) {
-            Ok(p) => p,
-            Err(_) => return,
-        },
-    };
+    let mut poller = Poller::new();
     let mut conns: Vec<Option<Conn>> = Vec::new();
     let mut free: Vec<usize> = Vec::new();
-    let mut next_gen: u64 = 0;
     let granularity = (cfg.conn_idle_ttl_ms / 16).clamp(10, 1000);
-    let mut wheel = Wheel::new(granularity, cfg.conn_idle_ttl_ms + granularity);
+    let mut last_sweep: u64 = 0;
     let started = Instant::now();
     let mut events: Vec<PollEvent> = Vec::new();
-    let mut due: Vec<(usize, u64)> = Vec::new();
     let mut draining_since: Option<u64> = None;
 
     loop {
@@ -122,16 +112,7 @@ pub(crate) fn run_loop(
         }
 
         if draining_since.is_none() {
-            adopt(
-                &injector,
-                &mut conns,
-                &mut free,
-                &mut next_gen,
-                &mut poller,
-                &mut wheel,
-                &cfg,
-                now,
-            );
+            adopt(&injector, &mut conns, &mut free, &mut poller, now);
         } else {
             // Late arrivals during drain are turned away.
             injector.queue.lock().unwrap().clear();
@@ -139,8 +120,7 @@ pub(crate) fn run_loop(
 
         let _ = poller.wait(&mut events, WAIT);
         let now = started.elapsed().as_millis() as u64;
-        for i in 0..events.len() {
-            let ev = events[i];
+        for &ev in &events {
             let verdict = match conns.get_mut(ev.token) {
                 Some(Some(conn)) => service(
                     conn,
@@ -158,39 +138,19 @@ pub(crate) fn run_loop(
             apply(verdict, ev.token, &mut conns, &mut poller, &mut free);
         }
 
-        // Idle eviction: pop due deadlines, revalidate lazily against
-        // the connection's authoritative activity clock.
-        due.clear();
-        wheel.advance(now, &mut due);
-        for &(token, gen) in due.iter() {
-            let next_deadline = match conns.get(token) {
-                Some(Some(conn)) if conn.gen == gen => {
-                    let deadline = conn.last_activity + cfg.conn_idle_ttl_ms;
-                    if deadline <= now {
-                        None
-                    } else {
-                        Some(deadline)
-                    }
-                }
-                _ => continue, // closed or recycled since scheduling
-            };
-            match next_deadline {
-                Some(deadline) => wheel.schedule(token, gen, deadline),
-                None => close_token(token, &mut conns, &mut poller, &mut free),
-            }
+        // Idle eviction: a linear sweep once per granularity.
+        if now.saturating_sub(last_sweep) >= granularity {
+            last_sweep = now;
+            close_where(&mut conns, &mut poller, &mut free, |c| {
+                now.saturating_sub(c.last_activity) >= cfg.conn_idle_ttl_ms
+            });
         }
 
         if let Some(t0) = draining_since {
             let expired = now.saturating_sub(t0) >= cfg.drain_deadline_ms;
-            for token in 0..conns.len() {
-                let finished = match &conns[token] {
-                    Some(conn) => conn.pending_out() == 0,
-                    None => continue,
-                };
-                if finished || expired {
-                    close_token(token, &mut conns, &mut poller, &mut free);
-                }
-            }
+            close_where(&mut conns, &mut poller, &mut free, |c| {
+                expired || c.pending_out() == 0
+            });
             if conns.iter().all(|c| c.is_none()) {
                 return;
             }
@@ -199,15 +159,11 @@ pub(crate) fn run_loop(
 }
 
 /// Pull newly accepted sockets out of the injector and register them.
-#[allow(clippy::too_many_arguments)]
 fn adopt(
     injector: &Injector,
     conns: &mut Vec<Option<Conn>>,
     free: &mut Vec<usize>,
-    next_gen: &mut u64,
     poller: &mut Poller,
-    wheel: &mut Wheel,
-    cfg: &LoopCfg,
     now: u64,
 ) {
     let streams: Vec<TcpStream> = {
@@ -222,13 +178,8 @@ fn adopt(
             conns.push(None);
             conns.len() - 1
         });
-        *next_gen += 1;
-        let conn = Conn::new(stream, *next_gen, now);
-        if poller.register(&conn.stream, token, false).is_err() {
-            free.push(token);
-            continue;
-        }
-        wheel.schedule(token, *next_gen, now + cfg.conn_idle_ttl_ms);
+        let conn = Conn::new(stream, now);
+        poller.register(&conn.stream, token, false);
         conns[token] = Some(conn);
     }
 }
@@ -285,9 +236,8 @@ fn service(
             progress = true;
         }
     }
-    // Only actual byte movement counts as activity — under the scan
-    // backend every connection gets hinted every tick, and idle
-    // eviction must still work there.
+    // Only actual byte movement counts as activity: a spurious
+    // readiness hint must not keep an idle connection alive.
     if progress {
         conn.last_activity = now;
     }
@@ -345,14 +295,25 @@ fn apply(
 ) {
     match verdict {
         Verdict::Keep => {
-            if let Some(Some(conn)) = conns.get_mut(token) {
-                let want = conn.pending_out() > 0;
-                if want != conn.want_write && poller.update(&conn.stream, token, want).is_ok() {
-                    conn.want_write = want;
-                }
+            if let Some(Some(conn)) = conns.get(token) {
+                poller.update(token, conn.pending_out() > 0);
             }
         }
         Verdict::Close => close_token(token, conns, poller, free),
+    }
+}
+
+/// Close every open connection that `pred` selects.
+fn close_where(
+    conns: &mut [Option<Conn>],
+    poller: &mut Poller,
+    free: &mut Vec<usize>,
+    pred: impl Fn(&Conn) -> bool,
+) {
+    for token in 0..conns.len() {
+        if conns[token].as_ref().is_some_and(&pred) {
+            close_token(token, conns, poller, free);
+        }
     }
 }
 
@@ -363,8 +324,8 @@ fn close_token(
     free: &mut Vec<usize>,
 ) {
     if let Some(slot) = conns.get_mut(token) {
-        if let Some(conn) = slot.take() {
-            let _ = poller.deregister(&conn.stream, token);
+        if slot.take().is_some() {
+            poller.deregister(token);
             free.push(token);
         }
     }

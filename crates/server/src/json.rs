@@ -147,18 +147,22 @@ fn write_str(s: &str, out: &mut String) {
 
 /// Parse one JSON document; trailing non-whitespace is an error.
 pub fn parse(text: &str) -> Result<Value, String> {
-    let bytes = text.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser {
+        text,
+        bytes: text.as_bytes(),
+        pos: 0,
+    };
     p.ws();
     let v = p.value()?;
     p.ws();
-    if p.pos != bytes.len() {
+    if p.pos != text.len() {
         return Err(format!("trailing data at byte {}", p.pos));
     }
     Ok(v)
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -296,10 +300,12 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is &str, so valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let c = s.chars().next().unwrap();
+                    // Consume one UTF-8 scalar; `pos` only ever advances
+                    // by whole scalars, so it sits on a char boundary.
+                    let c = self.text[self.pos..]
+                        .chars()
+                        .next()
+                        .ok_or("unterminated string")?;
                     out.push(c);
                     self.pos += c.len_utf8();
                 }

@@ -16,21 +16,23 @@
 //!   and in-process callers (which is how tests prove that concurrent
 //!   server output is byte-identical to a single-threaded session);
 //! * [`manager`] — the sharded session registry: snapshot-isolated
-//!   lock-free reads ([`snap::SnapCell`] + epoch-published
-//!   [`ped::SessionSnapshot`]s), per-session write serialization,
-//!   admission control and idle eviction;
-//! * [`snap`] — the wait-free published-pointer cell behind the
-//!   read path;
-//! * [`poller`] — readiness backends: raw-syscall epoll on Linux,
-//!   `poll(2)` on other unix, a portable timed scan anywhere;
+//!   reads (each entry publishes its latest [`ped::SessionSnapshot`]
+//!   as an `Arc` behind a mutex held only for one refcount bump),
+//!   per-session write serialization, admission control and idle
+//!   eviction;
+//! * [`poller`] — `poll(2)` readiness, declared directly (no libc
+//!   crate);
 //! * [`conn`] — per-connection read/write buffers, request framing and
 //!   partial-write bookkeeping;
-//! * [`wheel`] — the coarse deadline wheel driving connection idle
-//!   eviction;
 //! * [`eventloop`] — the nonblocking loops that multiplex connections,
-//!   dispatch inline, and drain gracefully on shutdown;
+//!   dispatch inline, sweep idle connections, and drain gracefully on
+//!   shutdown;
 //! * [`server`] — listener, acceptor thread, configuration, handle;
 //! * [`signal`] — SIGTERM/SIGINT → shutdown flag, without libc crates.
+//!
+//! The crate is unix-only: readiness and signal handling call `poll(2)`
+//! and `signal(2)` from the C library std already links, and those two
+//! declarations are its only `unsafe` code.
 //!
 //! See DESIGN.md §5b and §5f for the architecture discussion and the
 //! README for a quickstart transcript.
@@ -46,11 +48,8 @@ pub mod poller;
 pub mod protocol;
 pub mod server;
 pub mod signal;
-pub mod snap;
-pub mod wheel;
 
 pub use manager::{ManagerConfig, SessionManager};
-pub use poller::Backend;
 pub use protocol::{dispatch_line, parse_request};
 pub use server::{spawn, ServerConfig, ServerHandle};
 

@@ -7,17 +7,20 @@
 //! * the authoritative session behind the **writer lock** — mutating
 //!   methods (`edit`/`mark`/`classify`/`assert`/`transform`/
 //!   `select_*`) serialize here, rebuild copy-on-write, and publish;
-//! * the currently published **snapshot** in a [`SnapCell`] — read
-//!   methods (`deps`/`vars`/`stmts`/`lint`/`stats`) load it with one
-//!   atomic pointer read and never touch the writer lock, so a long
-//!   edit on one connection cannot stall queries on another.
+//! * the currently published **snapshot**, an `Arc<SessionSnapshot>`
+//!   behind its own small mutex — read methods (`deps`/`vars`/`stmts`/
+//!   `lint`/`stats`) clone the `Arc` under that mutex and never touch
+//!   the writer lock, so a long edit on one connection cannot stall
+//!   queries on another. The snapshot mutex guards one refcount bump
+//!   (a read) or one pointer swap (a publish) and nothing else; the
+//!   swapped-out `Arc` is dropped after the mutex is released.
 //!
 //! To keep registry bookkeeping off the hot path the id → session map
 //! is sharded by a hash of the session id: a lookup locks only its
 //! shard, clones the entry `Arc`, and releases the shard lock before
 //! any analysis work runs.
 //!
-//! The cloned `Arc<Entry>` (plus the loaded `Arc<SessionSnapshot>`)
+//! The cloned `Arc<Entry>` (plus the cloned `Arc<SessionSnapshot>`)
 //! also *pins* the session for the request lifetime: the janitor may
 //! evict the entry from the map mid-request, but the state a reader is
 //! rendering stays alive until its reply is encoded.
@@ -26,7 +29,6 @@
 //! count (admission control) and an idle TTL (a janitor sweep evicts
 //! sessions nobody has touched, reclaiming their analysis state).
 
-use crate::snap::SnapCell;
 use ped::session::PedSession;
 use ped::snapshot::SessionSnapshot;
 use ped_fortran::ast::Program;
@@ -74,8 +76,9 @@ impl Default for ManagerConfig {
 struct Entry {
     /// The authoritative session; write methods serialize here.
     writer: Mutex<PedSession>,
-    /// The published snapshot; read methods load it wait-free.
-    snap: SnapCell<SessionSnapshot>,
+    /// The published snapshot; read methods clone the `Arc` and
+    /// release the lock before any work runs.
+    snap: Mutex<Arc<SessionSnapshot>>,
     /// Milliseconds since manager start at last touch.
     last_used: AtomicU64,
 }
@@ -171,7 +174,7 @@ impl SessionManager {
                 session.cache.attach_disk(disk);
             }
         }
-        let snap = SnapCell::new(Arc::new(SessionSnapshot::capture(&session, 1)));
+        let snap = Mutex::new(Arc::new(SessionSnapshot::capture(&session, 1)));
         let entry = Arc::new(Entry {
             writer: Mutex::new(session),
             snap,
@@ -218,17 +221,22 @@ impl SessionManager {
         // advance identically under the server and the sequential
         // oracle for replies to stay byte-identical.
         let epoch = session.usage.note_publish();
-        entry
-            .snap
-            .store(Arc::new(SessionSnapshot::capture(&session, epoch)));
+        let next = Arc::new(SessionSnapshot::capture(&session, epoch));
+        // The guard is a temporary of this statement, so `_retired` is
+        // dropped only after the snapshot lock is released.
+        let _retired = std::mem::replace(
+            &mut *entry.snap.lock().expect("snapshot lock poisoned"),
+            next,
+        );
         Ok(r)
     }
 
     /// Run `f` against the published snapshot of session `id` (the read
-    /// path). No lock is taken: the snapshot is loaded with one atomic
-    /// pointer read, and both the entry and the snapshot stay pinned
-    /// (alive) until `f` finishes encoding its reply — a concurrent
-    /// eviction or edit cannot pull the state out from under it.
+    /// path). The writer lock is never taken: the snapshot `Arc` is
+    /// cloned under the snapshot lock, which is released before `f`
+    /// runs. Both the entry and the snapshot stay pinned (alive) until
+    /// `f` finishes encoding its reply — a concurrent eviction or edit
+    /// cannot pull the state out from under it.
     pub fn with_read<R>(
         &self,
         id: &str,
@@ -236,7 +244,7 @@ impl SessionManager {
     ) -> Result<R, String> {
         let entry = self.lookup(id)?;
         entry.last_used.store(self.now_ms(), Ordering::SeqCst);
-        let snap = entry.snap.load();
+        let snap = Arc::clone(&entry.snap.lock().expect("snapshot lock poisoned"));
         snap.usage.note_snapshot_read();
         Ok(f(&snap))
     }

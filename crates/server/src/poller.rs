@@ -1,74 +1,20 @@
-//! Readiness polling backends for the nonblocking event loop.
+//! Readiness polling for the nonblocking event loop: `poll(2)`.
 //!
-//! Three interchangeable backends behind one enum (no trait objects,
-//! no dependencies):
-//!
-//! * **epoll** (Linux): raw `epoll_create1`/`epoll_ctl`/`epoll_wait`
-//!   syscalls declared directly, the same way [`crate::signal`]
-//!   declares `signal(2)`. Level-triggered — O(ready) wakeups for
-//!   thousands of mostly-idle editor connections.
-//! * **poll** (other unix): portable `poll(2)` fallback, O(n) per wait.
-//! * **scan** (anywhere): a pure-std timed tick that reports every
-//!   registered token as readable *and* writable. No readiness signal
-//!   at all — correctness comes from the loop treating events as
-//!   *hints* and handling `WouldBlock` on every nonblocking I/O call,
-//!   which also keeps the real backends honest about spurious wakeups.
-//!
-//! The backend is chosen per platform and can be forced with the
-//! `PED_SERVE_BACKEND` environment variable (`epoll`/`poll`/`scan`),
-//! which is how the test suite exercises the fallbacks on Linux.
+//! `poll(2)` is declared directly, the same way [`crate::signal`]
+//! declares `signal(2)`, so the crate stays free of libc bindings. It
+//! runs on every unix, which makes `ped-serve` unix-only. Registrations
+//! live in a map and the pollfd array is rebuilt on each wait — O(n) in
+//! registered connections, the same order as the loop's idle sweep.
 
+use std::collections::HashMap;
 use std::io;
 use std::net::TcpStream;
+use std::os::unix::io::AsRawFd;
 use std::time::Duration;
 
-#[cfg(unix)]
-use std::os::unix::io::AsRawFd;
-
-/// Which readiness backend to use.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Backend {
-    /// Linux `epoll` via raw syscalls.
-    Epoll,
-    /// Portable unix `poll(2)`.
-    Poll,
-    /// Pure-std timed scan (readiness hints only).
-    Scan,
-}
-
-impl Backend {
-    /// Platform default: epoll on Linux, poll on other unix, scan
-    /// elsewhere.
-    pub fn auto() -> Backend {
-        #[cfg(target_os = "linux")]
-        {
-            Backend::Epoll
-        }
-        #[cfg(all(unix, not(target_os = "linux")))]
-        {
-            Backend::Poll
-        }
-        #[cfg(not(unix))]
-        {
-            Backend::Scan
-        }
-    }
-
-    /// Parse a `PED_SERVE_BACKEND` value; unknown names fall back to
-    /// [`Backend::auto`].
-    pub fn from_name(name: &str) -> Backend {
-        match name.to_ascii_lowercase().as_str() {
-            "epoll" => Backend::Epoll,
-            "poll" => Backend::Poll,
-            "scan" => Backend::Scan,
-            _ => Backend::auto(),
-        }
-    }
-}
-
 /// One readiness report. `readable`/`writable` are *hints*: the loop
-/// must tolerate both spurious readiness (scan backend) and missed
-/// flags (error conditions are folded into both directions).
+/// tolerates spurious readiness, and error conditions are folded into
+/// both directions so the next read or write observes the failure.
 #[derive(Clone, Copy, Debug)]
 pub struct PollEvent {
     pub token: usize,
@@ -76,346 +22,97 @@ pub struct PollEvent {
     pub writable: bool,
 }
 
+#[repr(C)]
+#[derive(Clone, Copy)]
+struct PollFd {
+    fd: i32,
+    events: i16,
+    revents: i16,
+}
+
+extern "C" {
+    // `nfds_t` is `unsigned long` on Linux and `unsigned int` on
+    // macOS; passing the wider type is benign for the counts we use
+    // (the callee reads the low 32 bits on LP64 ABIs).
+    fn poll(fds: *mut PollFd, nfds: u64, timeout: i32) -> i32;
+}
+
+const POLLIN: i16 = 0x1;
+const POLLOUT: i16 = 0x4;
+const POLLERR: i16 = 0x8;
+const POLLHUP: i16 = 0x10;
+const POLLNVAL: i16 = 0x20;
+
 /// A readiness poller over registered connections.
-pub enum Poller {
-    #[cfg(target_os = "linux")]
-    Epoll(epoll::EpollPoller),
-    #[cfg(unix)]
-    Poll(poll::PollPoller),
-    Scan(scan::ScanPoller),
+#[derive(Default)]
+pub struct Poller {
+    /// token → (fd, write interest).
+    regs: HashMap<usize, (i32, bool)>,
 }
 
 impl Poller {
-    pub fn new(backend: Backend) -> io::Result<Poller> {
-        match backend {
-            #[cfg(target_os = "linux")]
-            Backend::Epoll => Ok(Poller::Epoll(epoll::EpollPoller::new()?)),
-            #[cfg(unix)]
-            Backend::Poll => Ok(Poller::Poll(poll::PollPoller::new())),
-            Backend::Scan => Ok(Poller::Scan(scan::ScanPoller::new())),
-            #[allow(unreachable_patterns)]
-            other => Err(io::Error::other(format!(
-                "backend {other:?} not supported on this platform"
-            ))),
-        }
+    pub fn new() -> Poller {
+        Poller::default()
     }
 
     /// Start watching `stream` under `token`. Read interest is always
     /// on; `want_write` adds write interest.
-    pub fn register(
-        &mut self,
-        stream: &TcpStream,
-        token: usize,
-        want_write: bool,
-    ) -> io::Result<()> {
-        match self {
-            #[cfg(target_os = "linux")]
-            Poller::Epoll(p) => p.register(stream.as_raw_fd(), token, want_write),
-            #[cfg(unix)]
-            Poller::Poll(p) => p.register(stream.as_raw_fd(), token, want_write),
-            Poller::Scan(p) => p.register(token),
+    pub fn register(&mut self, stream: &TcpStream, token: usize, want_write: bool) {
+        self.regs.insert(token, (stream.as_raw_fd(), want_write));
+    }
+
+    /// Change write interest for an already registered token.
+    pub fn update(&mut self, token: usize, want_write: bool) {
+        if let Some(e) = self.regs.get_mut(&token) {
+            e.1 = want_write;
         }
     }
 
-    /// Change write interest for an already registered stream.
-    pub fn update(&mut self, stream: &TcpStream, token: usize, want_write: bool) -> io::Result<()> {
-        match self {
-            #[cfg(target_os = "linux")]
-            Poller::Epoll(p) => p.update(stream.as_raw_fd(), token, want_write),
-            #[cfg(unix)]
-            Poller::Poll(p) => p.update(token, want_write),
-            Poller::Scan(_) => Ok(()),
-        }
-    }
-
-    /// Stop watching a stream (the fd may be about to close).
-    pub fn deregister(&mut self, stream: &TcpStream, token: usize) -> io::Result<()> {
-        match self {
-            #[cfg(target_os = "linux")]
-            Poller::Epoll(p) => p.deregister(stream.as_raw_fd()),
-            #[cfg(unix)]
-            Poller::Poll(p) => p.deregister(token),
-            Poller::Scan(p) => p.deregister(token),
-        }
+    /// Stop watching a token (its fd may be about to close).
+    pub fn deregister(&mut self, token: usize) {
+        self.regs.remove(&token);
     }
 
     /// Wait up to `timeout` for readiness; fills `events` (cleared
     /// first). An interrupted wait reports zero events.
     pub fn wait(&mut self, events: &mut Vec<PollEvent>, timeout: Duration) -> io::Result<()> {
         events.clear();
-        match self {
-            #[cfg(target_os = "linux")]
-            Poller::Epoll(p) => p.wait(events, timeout),
-            #[cfg(unix)]
-            Poller::Poll(p) => p.wait(events, timeout),
-            Poller::Scan(p) => p.wait(events, timeout),
+        if self.regs.is_empty() {
+            std::thread::sleep(timeout);
+            return Ok(());
         }
-    }
-}
-
-#[cfg(target_os = "linux")]
-pub mod epoll {
-    use super::PollEvent;
-    use std::io;
-    use std::time::Duration;
-
-    // The kernel UAPI packs `epoll_event` on x86_64 only.
-    #[repr(C)]
-    #[cfg_attr(target_arch = "x86_64", repr(packed))]
-    #[derive(Clone, Copy)]
-    pub struct EpollEvent {
-        events: u32,
-        data: u64,
-    }
-
-    extern "C" {
-        fn epoll_create1(flags: i32) -> i32;
-        fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
-        fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
-        fn close(fd: i32) -> i32;
-    }
-
-    const EPOLL_CLOEXEC: i32 = 0o2000000;
-    const EPOLL_CTL_ADD: i32 = 1;
-    const EPOLL_CTL_DEL: i32 = 2;
-    const EPOLL_CTL_MOD: i32 = 3;
-    const EPOLLIN: u32 = 0x1;
-    const EPOLLOUT: u32 = 0x4;
-    const EPOLLERR: u32 = 0x8;
-    const EPOLLHUP: u32 = 0x10;
-
-    pub struct EpollPoller {
-        epfd: i32,
-        buf: Vec<EpollEvent>,
-    }
-
-    impl EpollPoller {
-        pub fn new() -> io::Result<EpollPoller> {
-            let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
-            if epfd < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(EpollPoller {
-                epfd,
-                buf: vec![EpollEvent { events: 0, data: 0 }; 1024],
-            })
+        let mut tokens: Vec<usize> = Vec::with_capacity(self.regs.len());
+        let mut fds: Vec<PollFd> = Vec::with_capacity(self.regs.len());
+        for (&token, &(fd, want_write)) in &self.regs {
+            tokens.push(token);
+            fds.push(PollFd {
+                fd,
+                events: POLLIN | if want_write { POLLOUT } else { 0 },
+                revents: 0,
+            });
         }
-
-        fn interest(token: usize, want_write: bool) -> EpollEvent {
-            let mut events = EPOLLIN;
-            if want_write {
-                events |= EPOLLOUT;
-            }
-            EpollEvent {
-                events,
-                data: token as u64,
-            }
-        }
-
-        fn ctl(&self, op: i32, fd: i32, ev: Option<EpollEvent>) -> io::Result<()> {
-            let mut ev = ev.unwrap_or(EpollEvent { events: 0, data: 0 });
-            let rc = unsafe { epoll_ctl(self.epfd, op, fd, &mut ev) };
-            if rc < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(())
-        }
-
-        pub fn register(&mut self, fd: i32, token: usize, want_write: bool) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_ADD, fd, Some(Self::interest(token, want_write)))
-        }
-
-        pub fn update(&mut self, fd: i32, token: usize, want_write: bool) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_MOD, fd, Some(Self::interest(token, want_write)))
-        }
-
-        pub fn deregister(&mut self, fd: i32) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_DEL, fd, None)
-        }
-
-        pub fn wait(&mut self, out: &mut Vec<PollEvent>, timeout: Duration) -> io::Result<()> {
-            let ms = timeout.as_millis().min(i32::MAX as u128) as i32;
-            let n =
-                unsafe { epoll_wait(self.epfd, self.buf.as_mut_ptr(), self.buf.len() as i32, ms) };
-            if n < 0 {
-                let e = io::Error::last_os_error();
-                if e.kind() == io::ErrorKind::Interrupted {
-                    return Ok(());
-                }
-                return Err(e);
-            }
-            for ev in &self.buf[..n as usize] {
-                // Copy out of the (possibly packed) struct first.
-                let events = ev.events;
-                let data = ev.data;
-                let err = events & (EPOLLERR | EPOLLHUP) != 0;
-                out.push(PollEvent {
-                    token: data as usize,
-                    // Fold errors into both directions so the loop's
-                    // next read/write observes the failure.
-                    readable: events & EPOLLIN != 0 || err,
-                    writable: events & EPOLLOUT != 0 || err,
-                });
-            }
-            if (n as usize) == self.buf.len() {
-                // Saturated: grow so a flood doesn't starve anyone.
-                self.buf
-                    .resize(self.buf.len() * 2, EpollEvent { events: 0, data: 0 });
-            }
-            Ok(())
-        }
-    }
-
-    impl Drop for EpollPoller {
-        fn drop(&mut self) {
-            unsafe { close(self.epfd) };
-        }
-    }
-}
-
-#[cfg(unix)]
-pub mod poll {
-    use super::PollEvent;
-    use std::collections::HashMap;
-    use std::io;
-    use std::time::Duration;
-
-    #[repr(C)]
-    #[derive(Clone, Copy)]
-    struct PollFd {
-        fd: i32,
-        events: i16,
-        revents: i16,
-    }
-
-    extern "C" {
-        // `nfds_t` is `unsigned long` on Linux and `unsigned int` on
-        // macOS; passing the wider type is benign for the counts we
-        // use (the callee reads the low 32 bits on LP64 ABIs).
-        fn poll(fds: *mut PollFd, nfds: u64, timeout: i32) -> i32;
-    }
-
-    const POLLIN: i16 = 0x1;
-    const POLLOUT: i16 = 0x4;
-    const POLLERR: i16 = 0x8;
-    const POLLHUP: i16 = 0x10;
-    const POLLNVAL: i16 = 0x20;
-
-    /// O(n)-per-wait fallback: registrations live in a map and the
-    /// pollfd array is rebuilt on each wait.
-    pub struct PollPoller {
-        regs: HashMap<usize, (i32, bool)>,
-    }
-
-    impl PollPoller {
-        pub fn new() -> PollPoller {
-            PollPoller {
-                regs: HashMap::new(),
-            }
-        }
-
-        pub fn register(&mut self, fd: i32, token: usize, want_write: bool) -> io::Result<()> {
-            self.regs.insert(token, (fd, want_write));
-            Ok(())
-        }
-
-        pub fn update(&mut self, token: usize, want_write: bool) -> io::Result<()> {
-            if let Some(e) = self.regs.get_mut(&token) {
-                e.1 = want_write;
-            }
-            Ok(())
-        }
-
-        pub fn deregister(&mut self, token: usize) -> io::Result<()> {
-            self.regs.remove(&token);
-            Ok(())
-        }
-
-        pub fn wait(&mut self, out: &mut Vec<PollEvent>, timeout: Duration) -> io::Result<()> {
-            let mut tokens: Vec<usize> = Vec::with_capacity(self.regs.len());
-            let mut fds: Vec<PollFd> = Vec::with_capacity(self.regs.len());
-            for (&token, &(fd, want_write)) in &self.regs {
-                tokens.push(token);
-                fds.push(PollFd {
-                    fd,
-                    events: POLLIN | if want_write { POLLOUT } else { 0 },
-                    revents: 0,
-                });
-            }
-            let ms = timeout.as_millis().min(i32::MAX as u128) as i32;
-            if fds.is_empty() {
-                std::thread::sleep(timeout);
+        let ms = timeout.as_millis().min(i32::MAX as u128) as i32;
+        // SAFETY: `fds` is a live, correctly laid out pollfd array of
+        // exactly `fds.len()` entries for the duration of the call.
+        let n = unsafe { poll(fds.as_mut_ptr(), fds.len() as u64, ms) };
+        if n < 0 {
+            let e = io::Error::last_os_error();
+            if e.kind() == io::ErrorKind::Interrupted {
                 return Ok(());
             }
-            let n = unsafe { poll(fds.as_mut_ptr(), fds.len() as u64, ms) };
-            if n < 0 {
-                let e = io::Error::last_os_error();
-                if e.kind() == io::ErrorKind::Interrupted {
-                    return Ok(());
-                }
-                return Err(e);
+            return Err(e);
+        }
+        for (token, f) in tokens.into_iter().zip(&fds) {
+            if f.revents == 0 {
+                continue;
             }
-            for (i, f) in fds.iter().enumerate() {
-                if f.revents == 0 {
-                    continue;
-                }
-                let err = f.revents & (POLLERR | POLLHUP | POLLNVAL) != 0;
-                out.push(PollEvent {
-                    token: tokens[i],
-                    readable: f.revents & POLLIN != 0 || err,
-                    writable: f.revents & POLLOUT != 0 || err,
-                });
-            }
-            Ok(())
+            let err = f.revents & (POLLERR | POLLHUP | POLLNVAL) != 0;
+            events.push(PollEvent {
+                token,
+                readable: f.revents & POLLIN != 0 || err,
+                writable: f.revents & POLLOUT != 0 || err,
+            });
         }
-    }
-}
-
-pub mod scan {
-    use super::PollEvent;
-    use std::collections::BTreeSet;
-    use std::io;
-    use std::time::Duration;
-
-    /// Granularity of the scan tick: short enough that a request never
-    /// stalls noticeably, long enough not to spin a core.
-    const TICK: Duration = Duration::from_millis(2);
-
-    /// The no-syscall backend: every registered token is reported
-    /// ready in both directions on every tick. Pure overhead compared
-    /// to epoll/poll, but it runs anywhere std does, and it proves the
-    /// loop treats readiness as a hint.
-    pub struct ScanPoller {
-        tokens: BTreeSet<usize>,
-    }
-
-    impl ScanPoller {
-        pub fn new() -> ScanPoller {
-            ScanPoller {
-                tokens: BTreeSet::new(),
-            }
-        }
-
-        pub fn register(&mut self, token: usize) -> io::Result<()> {
-            self.tokens.insert(token);
-            Ok(())
-        }
-
-        pub fn deregister(&mut self, token: usize) -> io::Result<()> {
-            self.tokens.remove(&token);
-            Ok(())
-        }
-
-        pub fn wait(&mut self, out: &mut Vec<PollEvent>, timeout: Duration) -> io::Result<()> {
-            std::thread::sleep(timeout.min(TICK));
-            for &token in &self.tokens {
-                out.push(PollEvent {
-                    token,
-                    readable: true,
-                    writable: true,
-                });
-            }
-            Ok(())
-        }
+        Ok(())
     }
 }

@@ -5,7 +5,7 @@
 //! only thread that touches the listener: it accepts nonblocking,
 //! deals new sockets round-robin into the loops' injector queues, and
 //! doubles as the janitor that sweeps idle *sessions* (connection idle
-//! eviction lives in the loops' deadline wheels). Each loop then
+//! eviction is each loop's own sweep). Each loop then
 //! multiplexes its share of connections — thousands of mostly-idle
 //! editor sessions cost one fd and a few hundred buffered bytes each,
 //! not a thread.
@@ -18,7 +18,6 @@
 
 use crate::eventloop::{run_loop, Injector, LoopCfg};
 use crate::manager::{ManagerConfig, SessionManager};
-use crate::poller::Backend;
 use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -49,10 +48,6 @@ pub struct ServerConfig {
     /// How long shutdown waits for response buffers to flush before
     /// cutting stragglers off.
     pub drain_deadline: Duration,
-    /// Readiness backend; `None` = `PED_SERVE_BACKEND` env override,
-    /// else the platform default (epoll on Linux, poll on unix, scan
-    /// elsewhere).
-    pub backend: Option<Backend>,
 }
 
 impl Default for ServerConfig {
@@ -69,19 +64,6 @@ impl Default for ServerConfig {
             write_buf_cap: 8 << 20,
             conn_idle_ttl: Duration::from_secs(15 * 60),
             drain_deadline: Duration::from_secs(5),
-            backend: None,
-        }
-    }
-}
-
-impl ServerConfig {
-    fn resolve_backend(&self) -> Backend {
-        if let Some(b) = self.backend {
-            return b;
-        }
-        match std::env::var("PED_SERVE_BACKEND") {
-            Ok(name) => Backend::from_name(&name),
-            Err(_) => Backend::auto(),
         }
     }
 }
@@ -142,7 +124,6 @@ pub fn spawn(cfg: ServerConfig) -> std::io::Result<ServerHandle> {
         write_buf_cap: cfg.write_buf_cap.max(1),
         conn_idle_ttl_ms: cfg.conn_idle_ttl.as_millis().max(1) as u64,
         drain_deadline_ms: cfg.drain_deadline.as_millis() as u64,
-        backend: cfg.resolve_backend(),
     };
     let nloops = cfg.workers.max(1);
     let mut injectors: Vec<Arc<Injector>> = Vec::with_capacity(nloops);

@@ -1,11 +1,14 @@
 #!/bin/sh
 # The tier-1 gate: formatting, release build (library, binaries, and
-# examples), and the full test suite.
+# examples), and the test suite of every workspace member — including
+# the dependence differential oracle (`hierarchy_oracle`), the
+# interning goldens (`interning_oracle`) and the single-build gate
+# (`build_counts`).
 set -e
 cd "$(dirname "$0")/.."
 cargo fmt --all -- --check
 cargo build --release --offline --workspace
-cargo test -q --offline
+cargo test -q --offline --workspace
 
 # ped-lint self-check over the examples/ fixtures: the clean fixtures
 # must pass even with warnings denied, and the seeded racy fixture must
@@ -18,27 +21,16 @@ if ./target/release/ped-lint examples/fortran/recurrence.f >/dev/null; then
 fi
 echo "ci: ped-lint self-check passed"
 
-# Dependence-engine gates: the differential oracle (canonicalization
-# engine vs per-pair tester, byte-identical graphs) and the quick
-# fast-vs-general smoke over every workload unit. The smoke also runs
-# the scalar-store gate: a forced no-op reanalyze of every workload must
-# record zero scalar-facts misses (nothing rebuilt).
-cargo test -q --offline -p ped-dependence --test hierarchy_oracle
-cargo build --release --offline -p ped-bench --bin ped-bench
+# Dependence-engine smoke: fast-vs-general over every workload unit.
+# The smoke also runs the scalar-store gate: a forced no-op reanalyze
+# of every workload must record zero scalar-facts misses (nothing
+# rebuilt).
 ./target/release/ped-bench --smoke
-echo "ci: dependence oracle + smoke passed"
-
-# Interning gates: rendered output across every workload must be
-# byte-identical to the pre-interning goldens, and one reanalyze miss
-# must build each scalar artifact exactly once.
-cargo test -q --offline -p ped --test interning_oracle
-cargo test -q --offline -p ped --test build_counts
-echo "ci: interning oracle + single-build gate passed"
+echo "ci: dependence smoke passed"
 
 # Server smoke gate: 8 concurrent wire clients against the nonblocking
 # event loop, every response byte-identical to the single-threaded
 # in-process oracle.
-cargo build --release --offline -p ped-bench --bin ped-serve-bench
 ./target/release/ped-serve-bench --smoke
 echo "ci: server oracle smoke passed"
 
@@ -47,7 +39,6 @@ echo "ci: server oracle smoke passed"
 # lines, race reports, step counts, and parallel-loop stats — serially
 # and under 8 workers, and the tracing validate pass must classify the
 # known-spurious assumed edge as disproven.
-cargo build --release --offline -p ped-bench --bin ped-vm-bench
 ./target/release/ped-vm-bench --smoke
 echo "ci: vm byte-identity smoke passed"
 

@@ -4,7 +4,7 @@
 //! the server may interleave sessions any way it likes, but it must
 //! never let them observe each other.
 
-use ped_server::{Backend, ManagerConfig, ServerConfig};
+use ped_server::{ManagerConfig, ServerConfig};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
@@ -377,26 +377,104 @@ fn never_reading_client_is_disconnected_at_the_write_cap() {
     server.stop();
 }
 
+/// True once the server closed `reader`'s connection (EOF or reset).
+fn closed_by_server(reader: &mut BufReader<TcpStream>) -> bool {
+    let mut line = String::new();
+    matches!(reader.read_line(&mut line), Ok(0) | Err(_))
+}
+
 #[test]
-fn poll_and_scan_backends_match_the_oracle() {
-    for backend in [Backend::Poll, Backend::Scan] {
-        let mut server = spawn_server(ServerConfig {
-            backend: Some(backend),
-            ..Default::default()
-        });
-        let addr = server.addr;
-        for ws in ped_workloads::scripts::all_scripts("fb")
-            .into_iter()
-            .take(3)
-        {
-            let got = replay(addr, &ws.lines);
-            let want = ped_server::oracle_replay(&ws.lines);
-            assert_eq!(
-                got, want,
-                "backend {backend:?} script '{}' diverged from the oracle",
-                ws.persona
-            );
-        }
-        server.stop();
+fn silent_connection_is_closed_after_the_idle_ttl() {
+    let mut server = spawn_server(ServerConfig {
+        conn_idle_ttl: Duration::from_millis(100),
+        ..Default::default()
+    });
+    let stream = TcpStream::connect(server.addr).unwrap();
+    // Without eviction the read below would block: bound it so a
+    // regression fails instead of hanging.
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let t = Instant::now();
+    let mut reader = BufReader::new(stream);
+    assert!(
+        closed_by_server(&mut reader),
+        "idle connection never closed"
+    );
+    let waited = t.elapsed();
+    assert!(
+        waited >= Duration::from_millis(90) && waited < Duration::from_secs(2),
+        "closed after {waited:?}, TTL is 100 ms"
+    );
+    server.stop();
+}
+
+#[test]
+fn pinging_connection_outlives_the_idle_ttl() {
+    let mut server = spawn_server(ServerConfig {
+        conn_idle_ttl: Duration::from_millis(100),
+        ..Default::default()
+    });
+    let stream = TcpStream::connect(server.addr).unwrap();
+    stream.set_nodelay(true).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    let t = Instant::now();
+    let mut id = 0u32;
+    // Ping every 40 ms (on a fixed cadence, so a slow round trip does
+    // not stretch the gap) for more than 3x the TTL.
+    while t.elapsed() < Duration::from_millis(350) {
+        let due = t + Duration::from_millis(40) * id;
+        std::thread::sleep(due.saturating_duration_since(Instant::now()));
+        id += 1;
+        writer
+            .write_all(format!("{{\"id\":{id},\"method\":\"ping\"}}\n").as_bytes())
+            .unwrap();
+        let mut resp = String::new();
+        reader.read_line(&mut resp).unwrap();
+        assert!(resp.contains("\"pong\":true"), "ping {id}: {resp:?}");
     }
+    // Going silent afterwards still gets the connection evicted.
+    assert!(
+        closed_by_server(&mut reader),
+        "idle connection never closed"
+    );
+    server.stop();
+}
+
+#[test]
+fn tree_walk_runtime_error_keeps_the_event_loop_alive() {
+    // The VM rejects this program (COMMON /B/ redeclared with more
+    // members), so `parallelize` runs its verify gate on the tree-walk
+    // interpreter. Its error must stay inside the response: the loop
+    // thread has to survive to answer the next request.
+    let source = "      PROGRAM P\n      COMMON /B/ X\n      X = 1.0\n      CALL S\n      PRINT *, X\n      END\n      SUBROUTINE S\n      COMMON /B/ X, Y\n      Y = 2.0\n      END\n";
+    let mut server = spawn_server(ServerConfig {
+        workers: 1,
+        ..Default::default()
+    });
+    let stream = TcpStream::connect(server.addr).unwrap();
+    stream.set_nodelay(true).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut ask = |req: &str| -> String {
+        writer.write_all(req.as_bytes()).unwrap();
+        writer.write_all(b"\n").unwrap();
+        let mut resp = String::new();
+        reader.read_line(&mut resp).expect("no response");
+        assert!(resp.ends_with('\n'), "no response for {req}");
+        resp
+    };
+    let r = ask(&open_source_request(1, "common", source));
+    assert!(r.contains("\"ok\":true"), "{r}");
+    ask("{\"id\":2,\"method\":\"parallelize\",\"params\":{\"session\":\"common\"}}");
+    let r = ask("{\"id\":3,\"method\":\"ping\"}");
+    assert!(r.contains("\"pong\":true"), "{r}");
+    server.stop();
 }
