@@ -72,8 +72,11 @@ impl ScalarFacts {
     /// built exactly once (see the `build_count` probes on
     /// [`SymbolTable`], [`RefTable`] and [`Cfg`]).
     pub fn build(unit: &ProcUnit, effects: Option<&EffectsMap>) -> ScalarFacts {
-        let symbols = Arc::new(SymbolTable::build(unit));
-        let plain_refs = Arc::new(RefTable::build(unit, &symbols));
+        let UnitTables {
+            symbols,
+            refs: plain_refs,
+            cfg,
+        } = UnitTables::build(unit);
         // Effects only alter references at CALL statements; without one
         // the effects-aware table is byte-identical and shares.
         let refs = if effects.is_some() && has_call(unit) {
@@ -82,7 +85,6 @@ impl ScalarFacts {
             plain_refs.clone()
         };
         let nest = Arc::new(LoopNest::build(unit));
-        let cfg = Arc::new(Cfg::build(unit));
         let dom = Arc::new(DomTree::dominators(&cfg));
         let postdom = Arc::new(DomTree::postdominators(&cfg));
         let defuse = Arc::new(DefUse::build(unit, &symbols, &cfg, &refs, effects));
@@ -104,7 +106,34 @@ impl ScalarFacts {
     }
 }
 
-fn has_call(unit: &ProcUnit) -> bool {
+/// One unit's base tables — symbols, effects-*unaware* references and
+/// the CFG — `Arc`-shared so a per-program set of them clones by refcount.
+/// This is the input interprocedural MOD/REF, the global symbolic facts
+/// and invariant-relation detection all read; a consumer that holds it
+/// never rebuilds these three for an unchanged unit.
+#[derive(Clone)]
+pub struct UnitTables {
+    pub symbols: Arc<SymbolTable>,
+    /// Built without MOD/REF effects (see [`ScalarFacts::plain_refs`]).
+    pub refs: Arc<RefTable>,
+    pub cfg: Arc<Cfg>,
+}
+
+impl UnitTables {
+    pub fn build(unit: &ProcUnit) -> UnitTables {
+        let symbols = Arc::new(SymbolTable::build(unit));
+        let refs = Arc::new(RefTable::build(unit, &symbols));
+        UnitTables {
+            symbols,
+            refs,
+            cfg: Arc::new(Cfg::build(unit)),
+        }
+    }
+}
+
+/// True if the unit contains a `CALL` — the only statement whose
+/// references MOD/REF effects can change.
+pub fn has_call(unit: &ProcUnit) -> bool {
     let mut found = false;
     walk_stmts(&unit.body, &mut |s| {
         if matches!(s.kind, StmtKind::Call { .. }) {

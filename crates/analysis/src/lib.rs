@@ -31,7 +31,7 @@ pub use cfg::Cfg;
 pub use control_dep::ControlDeps;
 pub use defuse::DefUse;
 pub use dom::DomTree;
-pub use facts::ScalarFacts;
+pub use facts::{ScalarFacts, UnitTables};
 pub use loops::{LoopId, LoopInfo, LoopNest};
 pub use refs::{RefId, RefTable, VarRef};
 pub use symbolic::{LinExpr, SymbolicEnv};

@@ -32,6 +32,7 @@ use ped::persist::DiskCache;
 use ped_dependence::DepSummary;
 use ped_fortran::codec::{Dec, DecodeError, Enc};
 use ped_fortran::fingerprint::source_fingerprint;
+use ped_interproc::ProgramFacts;
 use ped_lint::{Finding, LintOptions};
 use ped_par::{ParOptions, ParReport};
 use ped_transform::ctx::UnitAnalysis;
@@ -260,29 +261,19 @@ pub fn analyze_source(name: &str, source: &str, verify: bool) -> ProgramSummary 
             par: None,
         };
     }
-    let effects = ped_interproc::modref_analyze(&program);
-    let units: Vec<DepSummary> = program
-        .units
-        .iter()
-        .map(|unit| {
-            // Same per-unit environment the lint engine builds: global
-            // interprocedural facts plus the unit's local invariants.
-            let mut env = ped_interproc::global_symbolic_facts(&program);
-            let symbols = ped_fortran::symbols::SymbolTable::build(unit);
-            let refs = ped_analysis::refs::RefTable::build(unit, &symbols);
-            let cfg = ped_analysis::Cfg::build(unit);
-            let local =
-                ped_analysis::symbolic::detect_invariant_relations(unit, &symbols, &refs, &cfg);
-            for (nm, l) in local.subst {
-                env.add_subst(nm, l);
-            }
-            for (nm, r) in local.ranges {
-                env.add_range(nm, r);
-            }
-            let ua = UnitAnalysis::build(unit, env, Some(&effects));
+    // Each unit's environment is the one the lint engine builds too:
+    // global interprocedural facts plus the unit's local invariants.
+    let facts = ProgramFacts::build(&program);
+    let units: Vec<DepSummary> = (0..program.units.len())
+        .map(|idx| {
+            let unit = &program.units[idx];
+            let env = facts.unit_env(&program, idx);
+            let ua =
+                UnitAnalysis::from_tables(unit, facts.tables.unit(idx), env, Some(&facts.effects));
             DepSummary::of(&unit.name.to_ascii_uppercase(), &ua.graph)
         })
         .collect();
+    drop(facts);
     let mut findings = ped_lint::lint_program(&program, &LintOptions { threads: 1 });
     ped_lint::sort_findings(&mut findings);
     let par_opts = ParOptions {

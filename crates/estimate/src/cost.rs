@@ -77,12 +77,15 @@ impl ProgramCost {
 pub fn estimate_program(program: &Program, model: &CostModel) -> ProgramCost {
     // Two passes handle forward references (recursion converges to the
     // second-pass value with recursive calls charged at overhead only).
+    // Only the callee costs change between passes; each unit's tables
+    // are built once.
+    let inputs: Vec<CostInputs> = program.units.iter().map(CostInputs::build).collect();
     let mut unit_costs: HashMap<String, f64> = HashMap::new();
     let mut result = Vec::new();
     for _pass in 0..2 {
         result.clear();
-        for u in &program.units {
-            let uc = estimate_unit(u, model, &unit_costs);
+        for (u, t) in program.units.iter().zip(&inputs) {
+            let uc = t.estimate(u, model, &unit_costs);
             unit_costs.insert(u.name.to_ascii_uppercase(), uc.per_call);
             result.push(uc);
         }
@@ -104,25 +107,50 @@ pub fn estimate_unit(
     model: &CostModel,
     callee_costs: &HashMap<String, f64>,
 ) -> UnitCost {
-    let symbols = SymbolTable::build(unit);
-    let cfg = Cfg::build(unit);
-    let consts = Constants::build(unit, &symbols, &cfg, None);
-    let nest = LoopNest::build(unit);
-    let mut loops = Vec::new();
-    let per_call = block_cost(
-        &unit.body,
-        model,
-        &symbols,
-        &consts,
-        callee_costs,
-        &nest,
-        1.0,
-        &mut loops,
-    );
-    UnitCost {
-        name: unit.name.to_ascii_uppercase(),
-        per_call,
-        loops,
+    CostInputs::build(unit).estimate(unit, model, callee_costs)
+}
+
+/// The per-unit tables the cost model reads (built once per unit).
+struct CostInputs {
+    symbols: SymbolTable,
+    consts: Constants,
+    nest: LoopNest,
+}
+
+impl CostInputs {
+    fn build(unit: &ProcUnit) -> CostInputs {
+        let symbols = SymbolTable::build(unit);
+        let cfg = Cfg::build(unit);
+        let consts = Constants::build(unit, &symbols, &cfg, None);
+        CostInputs {
+            symbols,
+            consts,
+            nest: LoopNest::build(unit),
+        }
+    }
+
+    fn estimate(
+        &self,
+        unit: &ProcUnit,
+        model: &CostModel,
+        callee_costs: &HashMap<String, f64>,
+    ) -> UnitCost {
+        let mut loops = Vec::new();
+        let per_call = block_cost(
+            &unit.body,
+            model,
+            &self.symbols,
+            &self.consts,
+            callee_costs,
+            &self.nest,
+            1.0,
+            &mut loops,
+        );
+        UnitCost {
+            name: unit.name.to_ascii_uppercase(),
+            per_call,
+            loops,
+        }
     }
 }
 

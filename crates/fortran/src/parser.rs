@@ -842,6 +842,13 @@ impl Builder {
         if let Some(last) = unit.body.last() {
             unit.span = unit.span.merge(last.span);
         }
+        // Fortran 77 program-unit names are global and must be unique;
+        // every name lookup (call graph, MOD/REF, `Program::unit`) relies
+        // on it.
+        if self.program.unit(&unit.name).is_some() {
+            self.diags
+                .error(span, format!("duplicate program unit name {}", unit.name));
+        }
         self.program.units.push(unit);
     }
 
@@ -1417,6 +1424,17 @@ mod tests {
         sorted.sort();
         sorted.dedup();
         assert_eq!(sorted.len(), ids.len());
+    }
+
+    #[test]
+    fn duplicate_unit_name_is_a_parse_error() {
+        let src = "      PROGRAM P\n      REAL A(100)\n      CALL S(A)\n      END\n      SUBROUTINE S(A)\n      REAL A(100)\n      A(1) = 0.0\n      END\n      SUBROUTINE s(A)\n      REAL A(100)\n      A(2) = A(1)\n      END\n";
+        let (p, d) = parse(src);
+        assert_eq!(p.units.len(), 3);
+        let errors: Vec<_> = d.errors().collect();
+        assert_eq!(errors.len(), 1, "{d}");
+        assert!(errors[0].message.contains("duplicate program unit name"));
+        assert_eq!(errors[0].span.start, 9);
     }
 
     #[test]

@@ -26,25 +26,27 @@ pub struct ArrayKills {
     pub by_global: HashMap<String, SectionSet>,
 }
 
-/// Add `kill_params` / `kill_globals` to MOD/REF summaries.
-pub fn augment_with_kills(program: &Program, fx: &mut EffectsMap) {
-    for unit in &program.units {
-        let symbols = SymbolTable::build(unit);
-        let cfg = Cfg::build(unit);
-        let refs = RefTable::build(unit, &symbols);
+/// Add `kill_params` / `kill_globals` to MOD/REF summaries, reading
+/// each unit's `(symbols, plain refs, cfg)` from `tables` (unit order).
+pub fn augment_with_kills(
+    program: &Program,
+    tables: &[(&SymbolTable, &RefTable, &Cfg)],
+    fx: &mut EffectsMap,
+) {
+    for (unit, &(symbols, refs, cfg)) in program.units.iter().zip(tables) {
         let uname = unit.name.to_ascii_uppercase();
         let entry = fx.entry(uname).or_default();
         entry.kill_params.clear();
         entry.kill_globals.clear();
         for (pos, p) in unit.params.iter().enumerate() {
-            if symbols.get(p).is_some_and(|s| s.dims.is_empty()) && scalar_killed(&cfg, &refs, p) {
+            if symbols.get(p).is_some_and(|s| s.dims.is_empty()) && scalar_killed(cfg, refs, p) {
                 entry.kill_params.push(pos);
             }
         }
         for s in symbols.iter() {
             if s.dims.is_empty()
                 && s.storage == Storage::Common
-                && scalar_killed(&cfg, &refs, &s.name)
+                && scalar_killed(cfg, refs, &s.name)
             {
                 entry.kill_globals.push(s.name.clone());
             }
@@ -206,39 +208,39 @@ mod tests {
     use super::*;
     use ped_fortran::parser::parse_ok;
 
+    fn kills_of(src: &str) -> EffectsMap {
+        let p = parse_ok(src);
+        let tables = crate::ProgramTables::build(&p);
+        let mut fx = EffectsMap::new();
+        augment_with_kills(&p, &tables.triples(), &mut fx);
+        fx
+    }
+
     #[test]
     fn straight_line_scalar_killed() {
         let src = "      SUBROUTINE S(X)\n      X = 1.0\n      RETURN\n      END\n";
-        let p = parse_ok(src);
-        let mut fx = EffectsMap::new();
-        augment_with_kills(&p, &mut fx);
+        let fx = kills_of(src);
         assert_eq!(fx["S"].kill_params, [0]);
     }
 
     #[test]
     fn use_before_def_not_killed() {
         let src = "      SUBROUTINE S(X)\n      Y = X\n      X = 1.0\n      RETURN\n      END\n";
-        let p = parse_ok(src);
-        let mut fx = EffectsMap::new();
-        augment_with_kills(&p, &mut fx);
+        let fx = kills_of(src);
         assert!(fx["S"].kill_params.is_empty());
     }
 
     #[test]
     fn conditional_def_not_killed() {
         let src = "      SUBROUTINE S(X, C)\n      IF (C .GT. 0) THEN\n      X = 1.0\n      END IF\n      RETURN\n      END\n";
-        let p = parse_ok(src);
-        let mut fx = EffectsMap::new();
-        augment_with_kills(&p, &mut fx);
+        let fx = kills_of(src);
         assert!(fx["S"].kill_params.is_empty());
     }
 
     #[test]
     fn def_on_both_arms_killed() {
         let src = "      SUBROUTINE S(X, C)\n      IF (C .GT. 0) THEN\n      X = 1.0\n      ELSE\n      X = 2.0\n      END IF\n      RETURN\n      END\n";
-        let p = parse_ok(src);
-        let mut fx = EffectsMap::new();
-        augment_with_kills(&p, &mut fx);
+        let fx = kills_of(src);
         assert_eq!(fx["S"].kill_params, [0]);
     }
 
@@ -246,9 +248,7 @@ mod tests {
     fn common_scalar_kill() {
         let src =
             "      SUBROUTINE S\n      COMMON /B/ T\n      T = 0.0\n      RETURN\n      END\n";
-        let p = parse_ok(src);
-        let mut fx = EffectsMap::new();
-        augment_with_kills(&p, &mut fx);
+        let fx = kills_of(src);
         assert_eq!(fx["S"].kill_globals, ["T"]);
     }
 
@@ -283,9 +283,7 @@ mod tests {
     #[test]
     fn goto_bypass_not_killed() {
         let src = "      SUBROUTINE S(X, C)\n      IF (C .GT. 0) GOTO 100\n      X = 1.0\n  100 CONTINUE\n      RETURN\n      END\n";
-        let p = parse_ok(src);
-        let mut fx = EffectsMap::new();
-        augment_with_kills(&p, &mut fx);
+        let fx = kills_of(src);
         assert!(fx["S"].kill_params.is_empty());
     }
 }

@@ -13,6 +13,7 @@ pub mod constants;
 pub mod kill;
 pub mod modref;
 pub mod sections;
+pub mod tables;
 
 pub use callgraph::{CallGraph, CallSite};
 pub use compose::{check as compose_check, ComposeIssue};
@@ -20,3 +21,4 @@ pub use constants::{global_symbolic_facts, propagate_constants, SeedMap};
 pub use kill::{array_kills, full_kill_map, ArrayKills};
 pub use modref::{analyze as modref_analyze, CallSiteEffects};
 pub use sections::{analyze as sections_analyze, call_may_conflict, SectionMap, SectionSummary};
+pub use tables::{par_map_units, ProgramFacts, ProgramTables};

@@ -9,19 +9,37 @@
 //! calls provably parallel (§4.2).
 
 use crate::callgraph::CallGraph;
+use crate::tables::ProgramTables;
 use ped_analysis::defuse::{EffectsMap, ProcEffects};
+use ped_analysis::refs::RefTable;
+use ped_analysis::Cfg;
 use ped_fortran::ast::{Expr, Program};
 use ped_fortran::symbols::{Storage, SymbolTable};
 use std::collections::HashMap;
 
 /// Compute MOD/REF (and flow-sensitive KILL, see [`crate::kill`])
-/// summaries for every unit in the program.
+/// summaries for every unit in the program, building each unit's tables
+/// once. When the caller already holds them, use [`analyze_from`].
 pub fn analyze(program: &Program) -> EffectsMap {
+    analyze_from(program, &ProgramTables::build(program).triples())
+}
+
+/// [`analyze`] over caller-supplied per-unit tables (one `(symbols, plain
+/// refs, cfg)` triple per unit, in unit order) — no table is rebuilt
+/// here, in any fixpoint round.
+///
+/// A callee name resolves as it always has: its body is
+/// `program.unit(name)` (the *first* unit of that name) and its symbol
+/// table the *last* one's. The parser rejects duplicate unit names, so
+/// the two agree for every parsed program.
+pub fn analyze_from(program: &Program, tables: &[(&SymbolTable, &RefTable, &Cfg)]) -> EffectsMap {
+    assert_eq!(tables.len(), program.units.len());
     let cg = CallGraph::build(program);
-    let symtabs: HashMap<String, SymbolTable> = program
+    let by_name: HashMap<String, usize> = program
         .units
         .iter()
-        .map(|u| (u.name.to_ascii_uppercase(), SymbolTable::build(u)))
+        .enumerate()
+        .map(|(i, u)| (u.name.to_ascii_uppercase(), i))
         .collect();
     let mut fx: EffectsMap = EffectsMap::new();
     // Iterate bottom-up to a fixpoint (recursion needs ≤ |units| rounds).
@@ -32,8 +50,17 @@ pub fn analyze(program: &Program) -> EffectsMap {
             let Some(unit) = program.unit(uname) else {
                 continue;
             };
-            let symbols = &symtabs[uname];
-            let next = summarize_unit(unit, symbols, &cg, &fx, &symtabs);
+            let (symbols, refs, _) = tables[by_name[uname]];
+            // With a duplicate name the body and the symbol table come
+            // from different units; their references are built as before.
+            let rebuilt;
+            let refs = if std::ptr::eq(unit, &program.units[by_name[uname]]) {
+                refs
+            } else {
+                rebuilt = RefTable::build(unit, symbols);
+                &rebuilt
+            };
+            let next = summarize_unit(unit, symbols, refs, &cg, &fx, &by_name);
             let entry = fx.entry(uname.clone()).or_default();
             if !same_effects(entry, &next) {
                 *entry = next;
@@ -45,7 +72,7 @@ pub fn analyze(program: &Program) -> EffectsMap {
         }
     }
     // Flow-sensitive KILL augmentation.
-    crate::kill::augment_with_kills(program, &mut fx);
+    crate::kill::augment_with_kills(program, tables, &mut fx);
     fx
 }
 
@@ -59,9 +86,10 @@ fn same_effects(a: &ProcEffects, b: &ProcEffects) -> bool {
 fn summarize_unit(
     unit: &ped_fortran::ast::ProcUnit,
     symbols: &SymbolTable,
+    refs: &RefTable,
     cg: &CallGraph,
     fx: &EffectsMap,
-    symtabs: &HashMap<String, SymbolTable>,
+    known: &HashMap<String, usize>,
 ) -> ProcEffects {
     let mut e = ProcEffects::default();
     let formal_pos: HashMap<&str, usize> = unit
@@ -95,7 +123,6 @@ fn summarize_unit(
         }
     };
     // Direct effects from the reference table.
-    let refs = ped_analysis::refs::RefTable::build(unit, symbols);
     for r in &refs.refs {
         // CallArg refs are handled via callee summaries below, except
         // for calls to units we cannot see (assume both mod and ref).
@@ -107,7 +134,7 @@ fn summarize_unit(
     // Effects through call sites.
     for site in cg.sites_in(&unit.name) {
         let callee_fx = fx.get(&site.callee);
-        let callee_known = symtabs.contains_key(&site.callee);
+        let callee_known = known.contains_key(&site.callee);
         for (pos, arg) in site.args.iter().enumerate() {
             let arg_name = match arg {
                 Expr::Var(n) => Some(n.as_str()),

@@ -538,51 +538,18 @@ fn base_env(program: &Program, unit_idx: usize, ua: &UnitAnalysis) -> SymbolicEn
 /// Analysis runs per-unit, optionally on several threads; the merged
 /// report is byte-identical for any thread count.
 pub fn lint_program(program: &Program, opts: &LintOptions) -> Vec<Finding> {
-    let effects = ped_interproc::modref_analyze(program);
+    let facts = ped_interproc::ProgramFacts::build(program);
     let seeds = ped_interproc::propagate_constants(program);
     let user = UserContext::default();
-    let n = program.units.len();
-    let lint_one = |idx: usize| -> Vec<Finding> {
-        let unit = &program.units[idx];
-        let mut env = ped_interproc::global_symbolic_facts(program);
-        let symbols = ped_fortran::symbols::SymbolTable::build(unit);
-        let refs = ped_analysis::refs::RefTable::build(unit, &symbols);
-        let cfg = ped_analysis::Cfg::build(unit);
-        let local = ped_analysis::symbolic::detect_invariant_relations(unit, &symbols, &refs, &cfg);
-        for (nm, l) in local.subst {
-            env.add_subst(nm, l);
-        }
-        for (nm, r) in local.ranges {
-            env.add_range(nm, r);
-        }
-        let ua = UnitAnalysis::build(unit, env, Some(&effects));
-        lint_unit(program, idx, &ua, &effects, &seeds, &user)
-    };
-    let mut per_unit: Vec<Vec<Finding>> = Vec::with_capacity(n);
-    if opts.threads <= 1 || n <= 1 {
-        for idx in 0..n {
-            per_unit.push(lint_one(idx));
-        }
-    } else {
-        let mut slots: Vec<Option<Vec<Finding>>> = (0..n).map(|_| None).collect();
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let slot_refs: Vec<std::sync::Mutex<&mut Option<Vec<Finding>>>> =
-            slots.iter_mut().map(std::sync::Mutex::new).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..opts.threads.min(n) {
-                scope.spawn(|| loop {
-                    let idx = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if idx >= n {
-                        break;
-                    }
-                    let res = lint_one(idx);
-                    **slot_refs[idx].lock().unwrap() = Some(res);
-                });
-            }
-        });
-        drop(slot_refs);
-        per_unit.extend(slots.into_iter().map(|s| s.unwrap_or_default()));
-    }
+    let per_unit = ped_interproc::par_map_units(program.units.len(), opts.threads, |idx| {
+        let ua = UnitAnalysis::from_tables(
+            &program.units[idx],
+            facts.tables.unit(idx),
+            facts.unit_env(program, idx),
+            Some(&facts.effects),
+        );
+        lint_unit(program, idx, &ua, &facts.effects, &seeds, &user)
+    });
     let mut out: Vec<Finding> = per_unit.into_iter().flatten().collect();
     sort_findings(&mut out);
     out

@@ -1,35 +1,31 @@
-//! Per-unit nest classification: rebuild the unit's analyses the same
-//! way the lint engine does (interprocedural MOD/REF effects, global
-//! symbolic facts, local invariant relations), then decide each loop
-//! nest and, for serial nests, plan dependence-breaking transforms.
+//! Per-unit nest classification: analyze the unit the same way the lint
+//! engine does (interprocedural MOD/REF effects, global symbolic facts,
+//! local invariant relations — all read from the program's shared
+//! [`ProgramFacts`]), then decide each loop nest and, for serial nests,
+//! plan dependence-breaking transforms.
 
 use crate::{plan, BlockingDep, NestClass, NestDecision, ParOptions};
-use ped_analysis::defuse::EffectsMap;
 use ped_analysis::loops::LoopInfo;
 use ped_fortran::ast::{find_stmt, walk_stmts, ProcUnit, Program, StmtId, StmtKind};
+use ped_interproc::{par_map_units, ProgramFacts};
 use ped_transform::ctx::UnitAnalysis;
+use std::collections::HashSet;
 
-/// Build one unit's analysis bundle for the batch pass: global
-/// interprocedural symbolic facts plus the unit's invariant relations,
-/// with MOD/REF effects threaded into reference collection.
+/// Build one unit's analysis bundle for the batch pass over the
+/// program's shared tables: global interprocedural symbolic facts plus
+/// the unit's invariant relations, with MOD/REF effects threaded into
+/// reference collection.
 pub(crate) fn unit_analysis(
     program: &Program,
     unit_idx: usize,
-    effects: &EffectsMap,
+    facts: &ProgramFacts,
 ) -> UnitAnalysis {
-    let unit = &program.units[unit_idx];
-    let mut env = ped_interproc::global_symbolic_facts(program);
-    let symbols = ped_fortran::symbols::SymbolTable::build(unit);
-    let refs = ped_analysis::refs::RefTable::build(unit, &symbols);
-    let cfg = ped_analysis::Cfg::build(unit);
-    let local = ped_analysis::symbolic::detect_invariant_relations(unit, &symbols, &refs, &cfg);
-    for (n, l) in local.subst {
-        env.add_subst(n, l);
-    }
-    for (n, r) in local.ranges {
-        env.add_range(n, r);
-    }
-    UnitAnalysis::build(unit, env, Some(effects))
+    UnitAnalysis::from_tables(
+        &program.units[unit_idx],
+        facts.tables.unit(unit_idx),
+        facts.unit_env(program, unit_idx),
+        Some(&facts.effects),
+    )
 }
 
 /// Source line of a statement (falls back to the unit header).
@@ -61,55 +57,46 @@ pub fn has_io(unit: &ProcUnit, info: &LoopInfo) -> bool {
 /// the report is thread-count invariant.
 pub(crate) fn classify_program(
     program: &Program,
-    effects: &EffectsMap,
+    facts: &ProgramFacts,
     opts: &ParOptions,
 ) -> Vec<NestDecision> {
     let ranks = crate::rank_map(program);
-    let n = program.units.len();
-    let one = |unit_idx: usize| -> Vec<NestDecision> {
-        classify_unit(program, unit_idx, effects, opts, &ranks)
-    };
-    let mut per_unit: Vec<Vec<NestDecision>> = Vec::with_capacity(n);
-    if opts.threads <= 1 || n <= 1 {
-        for idx in 0..n {
-            per_unit.push(one(idx));
-        }
-    } else {
-        let mut slots: Vec<Option<Vec<NestDecision>>> = (0..n).map(|_| None).collect();
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let slot_refs: Vec<std::sync::Mutex<&mut Option<Vec<NestDecision>>>> =
-            slots.iter_mut().map(std::sync::Mutex::new).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..opts.threads.min(n) {
-                scope.spawn(|| loop {
-                    let idx = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if idx >= n {
-                        break;
-                    }
-                    let res = one(idx);
-                    **slot_refs[idx].lock().unwrap() = Some(res);
-                });
-            }
-        });
-        drop(slot_refs);
-        per_unit.extend(slots.into_iter().map(|s| s.unwrap_or_default()));
-    }
-    per_unit.into_iter().flatten().collect()
+    par_map_units(program.units.len(), opts.threads, |idx| {
+        classify_unit(program, idx, facts, opts, &ranks)
+    })
+    .into_iter()
+    .flatten()
+    .collect()
 }
 
 fn classify_unit(
     program: &Program,
     unit_idx: usize,
-    effects: &EffectsMap,
+    facts: &ProgramFacts,
     opts: &ParOptions,
     ranks: &std::collections::HashMap<(String, StmtId), (f64, f64)>,
 ) -> Vec<NestDecision> {
-    let ua = unit_analysis(program, unit_idx, effects);
+    let ua = unit_analysis(program, unit_idx, facts);
     let unit = &program.units[unit_idx];
     let uname = unit.name.to_ascii_uppercase();
+    let reports: Vec<_> = ua
+        .nest
+        .loops
+        .iter()
+        .map(|info| ped_transform::analyze_parallelization(unit, &ua, info.id))
+        .collect();
+    // The unit's parallel set before any transform: the baseline every
+    // plan dry-run is measured against.
+    let p0: HashSet<StmtId> = ua
+        .nest
+        .loops
+        .iter()
+        .zip(&reports)
+        .filter(|(_, rep)| rep.is_parallel())
+        .map(|(info, _)| info.stmt)
+        .collect();
     let mut out = Vec::new();
-    for info in &ua.nest.loops {
-        let rep = ped_transform::analyze_parallelization(unit, &ua, info.id);
+    for (info, rep) in ua.nest.loops.iter().zip(reports) {
         let (weight, percent) = ranks
             .get(&(uname.clone(), info.stmt))
             .copied()
@@ -144,7 +131,7 @@ fn classify_unit(
         if rep.is_parallel() {
             d.class = NestClass::Parallel;
         } else if opts.plan_transforms {
-            plan::plan_nest(program, unit_idx, &ua, info.id, &mut d);
+            plan::plan_nest(program, unit_idx, facts, &ua, &p0, info.id, &mut d);
         }
         out.push(d);
     }

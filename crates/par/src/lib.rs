@@ -38,8 +38,8 @@ pub use classify::has_io;
 pub use report::{render_report, render_summary, summary_row};
 pub use serial::{decode_report, encode_report};
 
-use ped_analysis::defuse::EffectsMap;
 use ped_fortran::ast::{LoopSched, Program, StmtId, StmtKind};
+use ped_interproc::ProgramFacts;
 use std::collections::{HashMap, HashSet};
 
 /// Options for the pass.
@@ -263,9 +263,10 @@ impl ParReport {
 /// report and the rewritten program carrying the verified `CDOALL`
 /// directives (plus any fired transformations).
 pub fn parallelize_program(program: &Program, opts: &ParOptions) -> (ParReport, Program) {
-    let effects = ped_interproc::modref_analyze(program);
-    let mut decisions = classify::classify_program(program, &effects, opts);
-    let (mut rewritten, mut directives) = emit(program, &mut decisions, opts);
+    let facts = ProgramFacts::build(program);
+    let mut decisions = classify::classify_program(program, &facts, opts);
+    // `emit` consumes (and drops) the table set before the gate runs.
+    let (mut rewritten, mut directives) = emit(program, facts, &mut decisions, opts);
     let verify = if opts.verify {
         Some(verify::differential_gate(
             program,
@@ -289,8 +290,7 @@ pub fn parallelize_program(program: &Program, opts: &ParOptions) -> (ParReport, 
 
 /// Static analysis only: classify and plan, but do not rewrite or run.
 pub fn analyze(program: &Program, opts: &ParOptions) -> ParReport {
-    let effects = ped_interproc::modref_analyze(program);
-    let decisions = classify::classify_program(program, &effects, opts);
+    let decisions = classify::classify_program(program, &ProgramFacts::build(program), opts);
     ParReport {
         decisions,
         directives: Vec::new(),
@@ -300,13 +300,19 @@ pub fn analyze(program: &Program, opts: &ParOptions) -> ParReport {
 
 /// Build the rewritten program: apply each fired transformation, then
 /// mark every profitable outermost parallel nest `CDOALL`. Updates the
-/// decisions' `emitted`/`emit_skip` fields.
+/// decisions' `emitted`/`emit_skip` fields. `facts` describes `program`.
 fn emit(
     program: &Program,
+    facts: ProgramFacts,
     decisions: &mut [NestDecision],
     opts: &ParOptions,
 ) -> (Program, Vec<Directive>) {
     let mut out = program.clone();
+    // The running table set of `out`, and its MOD/REF and global facts
+    // while no apply has touched `out` since they were computed. The
+    // first apply runs on `out == program` and reuses `facts`.
+    let mut tables = facts.tables.clone();
+    let mut current = Some(facts);
     // 1. Apply fired transformations, in decision order. Each decision's
     // target loop is located by its original `DO` statement id, which
     // earlier transformations of *other* nests do not disturb.
@@ -314,7 +320,13 @@ fn emit(
         let Some(t) = d.transform.clone() else {
             continue;
         };
-        if let Err(e) = plan::apply_by_name(&mut out, d.unit_idx, d.stmt, &t) {
+        let facts = current.get_or_insert_with(|| ProgramFacts::new(&out, tables.clone()));
+        let applied = plan::apply_by_name(&mut out, facts, d.unit_idx, d.stmt, &t);
+        // Transforms rewrite only their own unit; rebuild it after a
+        // failed attempt too, which may have rewritten part of it.
+        tables.rebuild(&out, d.unit_idx);
+        current = None;
+        if let Err(e) = applied {
             d.class = NestClass::Serial;
             d.transform = None;
             d.rejections.push(TransformRejection {
@@ -325,12 +337,14 @@ fn emit(
         }
     }
     // 2. Mark profitable outermost parallel nests in the rewritten
-    // program and record the directives.
-    let effects = ped_interproc::modref_analyze(&out);
+    // program and record the directives. Marking sets only `LoopSched`,
+    // which neither MOD/REF nor the global facts read, so both are
+    // computed once for all units.
+    let facts = current.unwrap_or_else(|| ProgramFacts::new(&out, tables));
     let ranks = rank_map(&out);
     let mut directives = Vec::new();
     for unit_idx in 0..out.units.len() {
-        let ua = classify::unit_analysis(&out, unit_idx, &effects);
+        let ua = classify::unit_analysis(&out, unit_idx, &facts);
         let unit = &out.units[unit_idx];
         let uname = unit.name.to_ascii_uppercase();
         // Dependence-parallel loops of the rewritten unit.
@@ -468,8 +482,4 @@ pub fn program_fingerprint(program: &Program) -> u64 {
         h = h.u64(ped_fortran::fingerprint::unit_fingerprint(u));
     }
     h.done()
-}
-
-pub(crate) fn effects_for(program: &Program) -> EffectsMap {
-    ped_interproc::modref_analyze(program)
 }

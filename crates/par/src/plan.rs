@@ -12,6 +12,7 @@
 use crate::{classify, NestClass, NestDecision, TransformRejection};
 use ped_analysis::loops::LoopId;
 use ped_fortran::ast::{Program, StmtId};
+use ped_interproc::ProgramFacts;
 use ped_transform::advice::{Advice, Profit, Safety};
 use ped_transform::ctx::UnitAnalysis;
 use std::collections::HashSet;
@@ -97,15 +98,17 @@ fn induction_var(name: &str) -> &str {
 }
 
 /// Try every candidate on `d`'s nest; fire the first one that exposes a
-/// new parallel loop, recording the rejecting rule for the rest.
+/// new parallel loop (one not in `p0`, the unit's parallel set as
+/// classified), recording the rejecting rule for the rest.
 pub(crate) fn plan_nest(
     program: &Program,
     unit_idx: usize,
+    facts: &ProgramFacts,
     ua: &UnitAnalysis,
+    p0: &HashSet<StmtId>,
     l: LoopId,
     d: &mut NestDecision,
 ) {
-    let p0 = parallel_set(program, unit_idx, ua);
     for name in candidates(ua, d) {
         let advice = advice_for(&name, program, unit_idx, ua, l);
         if !advice.applicable {
@@ -132,7 +135,10 @@ pub(crate) fn plan_nest(
             });
             continue;
         }
-        // Dry-run on a scratch copy and re-derive the dependences.
+        // Dry-run on a scratch copy and re-derive the dependences. The
+        // transform rewrote only unit `unit_idx`, so every other unit's
+        // tables carry over; the scratch program's MOD/REF and global
+        // facts are recomputed from them.
         let mut scratch = program.clone();
         if let Err(rule) = apply(&name, &mut scratch, unit_idx, ua, l) {
             d.rejections.push(TransformRejection {
@@ -142,10 +148,12 @@ pub(crate) fn plan_nest(
             });
             continue;
         }
-        let effects = crate::effects_for(&scratch);
-        let sua = classify::unit_analysis(&scratch, unit_idx, &effects);
+        let mut tables = facts.tables.clone();
+        tables.rebuild(&scratch, unit_idx);
+        let sfacts = ProgramFacts::new(&scratch, tables);
+        let sua = classify::unit_analysis(&scratch, unit_idx, &sfacts);
         let p1 = parallel_set(&scratch, unit_idx, &sua);
-        if p1.difference(&p0).next().is_some() {
+        if p1.difference(p0).next().is_some() {
             d.class = NestClass::ParallelAfterTransform;
             d.transform = Some(name);
             return;
@@ -159,15 +167,16 @@ pub(crate) fn plan_nest(
 }
 
 /// Re-apply a fired transformation inside `emit`, locating the target
-/// nest by its original `DO` statement id.
+/// nest by its original `DO` statement id. `facts` must describe
+/// `program` as it is now.
 pub(crate) fn apply_by_name(
     program: &mut Program,
+    facts: &ProgramFacts,
     unit_idx: usize,
     stmt: StmtId,
     name: &str,
 ) -> Result<(), String> {
-    let effects = crate::effects_for(program);
-    let ua = classify::unit_analysis(program, unit_idx, &effects);
+    let ua = classify::unit_analysis(program, unit_idx, facts);
     let l = ua
         .nest
         .by_stmt(stmt)

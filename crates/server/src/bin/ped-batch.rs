@@ -18,10 +18,14 @@
 //! `--smoke` is the self-checking CI gate: cold run, warm run, and a
 //! warm run after deliberately corrupting cache entries must all render
 //! byte-identical bodies, the warm run must be answered from disk, and
-//! the corrupt entries must heal. Exit 0 only if every check holds.
+//! the corrupt entries must heal. The static report of the 125-program
+//! seed-42 corpus must also hash to the digest the benchmark pins
+//! (`pedbench/expected/corpus-seed42.digest`). Exit 0 only if every
+//! check holds.
 
 use ped::persist::DiskCache;
 use ped_batch::{jobs_from_path, run_batch, BatchJob, BatchOptions, BatchReport};
+use ped_fortran::fingerprint::Fnv;
 use std::path::{Path, PathBuf};
 
 fn usage() -> ! {
@@ -137,6 +141,15 @@ fn smoke(threads: usize) -> i32 {
     check(
         "uncached bytes == cold bytes",
         nocache.render() == cold_body,
+    );
+
+    // The static report of the benchmark's pinned corpus keeps its
+    // committed digest, so an exactness break in the pipeline fails here.
+    let pinned = include_str!("../../../../pedbench/expected/corpus-seed42.digest");
+    let body = run_batch(&corpus_jobs(42, 125), &opts(None)).render();
+    check(
+        "seed-42 corpus report == pinned digest",
+        format!("{:016x}", Fnv::new().bytes(body.as_bytes()).done()) == pinned.trim(),
     );
 
     let _ = std::fs::remove_dir_all(&dir);

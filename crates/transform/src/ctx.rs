@@ -11,7 +11,7 @@ use ped_analysis::defuse::{DefUse, EffectsMap};
 use ped_analysis::loops::LoopNest;
 use ped_analysis::refs::RefTable;
 use ped_analysis::symbolic::SymbolicEnv;
-use ped_analysis::{Cfg, ScalarFacts};
+use ped_analysis::{Cfg, ScalarFacts, UnitTables};
 use ped_dependence::cache::PairCache;
 use ped_dependence::graph::{BuildOptions, DepKind, DependenceGraph};
 use ped_dependence::marking::{Mark, Marking};
@@ -60,8 +60,43 @@ impl UnitAnalysis {
     ) -> UnitAnalysis {
         let symbols = Arc::new(SymbolTable::build(unit));
         let refs = Arc::new(RefTable::build_with_effects(unit, &symbols, effects));
-        let nest = Arc::new(LoopNest::build(unit));
         let cfg = Arc::new(Cfg::build(unit));
+        Self::assemble(unit, symbols, refs, cfg, env, effects, cache)
+    }
+
+    /// Build the bundle over a unit's already-built base tables (one
+    /// entry of a program's shared table set). The symbol table and CFG
+    /// are shared; the plain reference table stands in for the
+    /// effects-aware one unless the unit has a `CALL` (the only
+    /// statement effects change). Byte-identical to
+    /// [`UnitAnalysis::build`] with the same environment and effects.
+    pub fn from_tables(
+        unit: &ProcUnit,
+        tables: &UnitTables,
+        env: SymbolicEnv,
+        effects: Option<&EffectsMap>,
+    ) -> UnitAnalysis {
+        let refs = if effects.is_some() && ped_analysis::facts::has_call(unit) {
+            Arc::new(RefTable::build_with_effects(unit, &tables.symbols, effects))
+        } else {
+            tables.refs.clone()
+        };
+        let (symbols, cfg) = (tables.symbols.clone(), tables.cfg.clone());
+        Self::assemble(unit, symbols, refs, cfg, env, effects, None)
+    }
+
+    /// The loop nest, def-use chains, dependence graph and initial
+    /// marking over given scalar tables.
+    fn assemble(
+        unit: &ProcUnit,
+        symbols: Arc<SymbolTable>,
+        refs: Arc<RefTable>,
+        cfg: Arc<Cfg>,
+        env: SymbolicEnv,
+        effects: Option<&EffectsMap>,
+        cache: Option<&mut PairCache>,
+    ) -> UnitAnalysis {
+        let nest = Arc::new(LoopNest::build(unit));
         let defuse = Arc::new(DefUse::build(unit, &symbols, &cfg, &refs, effects));
         let graph = DependenceGraph::build_full(
             unit,
