@@ -266,13 +266,14 @@ pub fn parallelize_program(program: &Program, opts: &ParOptions) -> (ParReport, 
     let facts = ProgramFacts::build(program);
     let mut decisions = classify::classify_program(program, &facts, opts);
     // `emit` consumes (and drops) the table set before the gate runs.
-    let (mut rewritten, mut directives) = emit(program, facts, &mut decisions, opts);
+    let (mut rewritten, mut directives, transformed) = emit(program, facts, &mut decisions, opts);
     let verify = if opts.verify {
         Some(verify::differential_gate(
             program,
             &mut rewritten,
             &mut directives,
             &mut decisions,
+            transformed,
             opts.verify_workers,
         ))
     } else {
@@ -301,18 +302,22 @@ pub fn analyze(program: &Program, opts: &ParOptions) -> ParReport {
 /// Build the rewritten program: apply each fired transformation, then
 /// mark every profitable outermost parallel nest `CDOALL`. Updates the
 /// decisions' `emitted`/`emit_skip` fields. `facts` describes `program`.
+/// The flag reports whether any transformation was attempted: a failed
+/// apply may still have rewritten part of its unit, so only then can the
+/// rewritten program differ from `program` in more than loop schedules.
 fn emit(
     program: &Program,
     facts: ProgramFacts,
     decisions: &mut [NestDecision],
     opts: &ParOptions,
-) -> (Program, Vec<Directive>) {
+) -> (Program, Vec<Directive>, bool) {
     let mut out = program.clone();
     // The running table set of `out`, and its MOD/REF and global facts
     // while no apply has touched `out` since they were computed. The
     // first apply runs on `out == program` and reuses `facts`.
     let mut tables = facts.tables.clone();
     let mut current = Some(facts);
+    let mut transformed = false;
     // 1. Apply fired transformations, in decision order. Each decision's
     // target loop is located by its original `DO` statement id, which
     // earlier transformations of *other* nests do not disturb.
@@ -321,6 +326,7 @@ fn emit(
             continue;
         };
         let facts = current.get_or_insert_with(|| ProgramFacts::new(&out, tables.clone()));
+        transformed = true;
         let applied = plan::apply_by_name(&mut out, facts, d.unit_idx, d.stmt, &t);
         // Transforms rewrite only their own unit; rebuild it after a
         // failed attempt too, which may have rewritten part of it.
@@ -463,7 +469,7 @@ fn emit(
             }
         }
     }
-    (out, directives)
+    (out, directives, transformed)
 }
 
 /// `(unit, DO stmt) → (weight, percent)` from the static cost estimate.

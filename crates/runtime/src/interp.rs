@@ -25,7 +25,8 @@ use std::sync::{Mutex, RwLock};
 pub use ped_vm::rt::{RunOptions, RunOutput, RunStats, RuntimeError};
 
 use ped_vm::rt::{
-    combine, err, eval_binop, eval_dims, eval_intrinsic, identity_of, proto_of, zero_of, RunResult,
+    check_call_depth, combine, err, eval_binop, eval_dims, eval_intrinsic, identity_of, proto_of,
+    zero_of, RunResult,
 };
 
 /// Run a program's main unit with the tree-walking interpreter.
@@ -34,7 +35,7 @@ pub fn run(program: &Program, opts: RunOptions) -> RunResult<RunOutput> {
     let main = program
         .main()
         .ok_or_else(|| RuntimeError("no main program unit".into()))?;
-    let mut frame = machine.frame_for(main, Vec::new())?;
+    let mut frame = machine.frame_for(main, Vec::new(), 0)?;
     let flow = machine.exec_block(&mut frame, &main.body, false)?;
     if let Flow::Jump(l) = flow {
         return err(format!("GOTO {l} jumped out of the program"));
@@ -99,6 +100,8 @@ struct Machine<'p> {
 #[derive(Clone)]
 struct Frame {
     unit: String,
+    /// Activation depth (main = 0), bounded by `MAX_CALL_DEPTH`.
+    depth: u32,
     scalars: HashMap<String, Value>,
     arrays: HashMap<String, Arc<ArrayObj>>,
     /// Scalar name → (common block, slot index).
@@ -211,10 +214,12 @@ impl<'p> Machine<'p> {
         })
     }
 
-    fn frame_for(&self, unit: &ProcUnit, actuals: Vec<Actual>) -> RunResult<Frame> {
+    fn frame_for(&self, unit: &ProcUnit, actuals: Vec<Actual>, depth: u32) -> RunResult<Frame> {
+        check_call_depth(depth, &unit.name)?;
         let st = &self.symtabs[&unit.name.to_ascii_uppercase()];
         let mut frame = Frame {
             unit: unit.name.to_ascii_uppercase(),
+            depth,
             scalars: HashMap::new(),
             arrays: HashMap::new(),
             common_scalars: HashMap::new(),
@@ -687,7 +692,7 @@ impl<'p> Machine<'p> {
         for a in args {
             actuals.push(self.prepare_actual(frame, a)?);
         }
-        let mut callee = self.frame_for(unit, actuals_clone(&actuals))?;
+        let mut callee = self.frame_for(unit, actuals_clone(&actuals), frame.depth + 1)?;
         let flow = self.exec_block(&mut callee, &unit.body, in_parallel)?;
         if let Flow::Jump(l) = flow {
             return err(format!("GOTO {l} escaped subroutine {name}"));
@@ -849,7 +854,7 @@ impl<'p> Machine<'p> {
         for a in args {
             actuals.push(self.prepare_actual(frame, a)?);
         }
-        let mut callee = self.frame_for(unit, actuals)?;
+        let mut callee = self.frame_for(unit, actuals, frame.depth + 1)?;
         let flow = self.exec_block(&mut callee, &unit.body, false)?;
         if let Flow::Jump(l) = flow {
             return err(format!("GOTO {l} escaped function {name}"));

@@ -2,7 +2,7 @@
 //!
 //! The reproduction's stand-in for the paper's shared-memory targets
 //! (8-processor Alliant FX/8, Cray Y-MP): sequential semantics, DOALL
-//! execution over scoped worker threads with scalar privatization and
+//! execution over worker threads with scalar privatization and
 //! reduction combining, loop-level profiling, a deterministic race
 //! checker for certified loops, and run-time validation of user
 //! assertions (§3.3).

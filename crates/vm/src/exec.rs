@@ -14,21 +14,27 @@
 //! plain per-context `Vec`s — no atomics, no `SeqCst` — because tracing
 //! forces a single worker; see DESIGN.md §5g. The dynamic dependence
 //! validator ([`crate::validate`]) is built on these traces.
+//!
+//! Parallel DOALLs run on a *team*: the worker threads of one run,
+//! spawned once by [`run_metered`] and parked between DOALL instances,
+//! in the style of an OpenMP parallel region (DESIGN.md §5g).
 
 use crate::compile::{
     ArgSpec, ArraySpec, CompiledProgram, CompiledUnit, DoSpec, FormalSpec, Op, ToIntKind,
 };
 use crate::rt::{
-    combine, err, eval_binop, eval_intrinsic, identity_of, RunOptions, RunOutput, RunResult,
-    RunStats, RuntimeError,
+    check_call_depth, combine, err, eval_binop, eval_intrinsic, identity_of, RunOptions, RunOutput,
+    RunResult, RunStats, RuntimeError,
 };
 use crate::shadow::Shadow;
 use crate::value::{ArrayObj, Cell, Value};
 use ped_fortran::ast::{StmtId, UnOp};
 use std::cell::UnsafeCell;
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::ops::Range;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
 
 /// Which loops to instrument, and how many events to keep.
 #[derive(Clone, Debug, Default)]
@@ -90,6 +96,10 @@ struct ExecCtx {
     /// flush time. Addition is commutative, so the merged totals are
     /// identical to the interpreter's shared-map counts.
     loop_iters: HashMap<u32, u64>,
+    /// This context runs a DOALL chunk. A DOALL reached from here (only
+    /// through a FUNCTION, which resets `in_parallel`) runs its chunks
+    /// inline: the team is busy with the enclosing DOALL.
+    in_team: bool,
 }
 
 impl ExecCtx {
@@ -100,6 +110,7 @@ impl ExecCtx {
             instrs: 0,
             steps: 0,
             loop_iters: HashMap::new(),
+            in_team: false,
         }
     }
 }
@@ -111,6 +122,9 @@ impl ExecCtx {
 #[derive(Clone)]
 struct Frame {
     unit: usize,
+    /// Activation depth: 0 for the main program, one more per CALL or
+    /// function reference (bounded by `rt::MAX_CALL_DEPTH`).
+    depth: u32,
     scalars: Vec<Option<Value>>,
     arrays: Vec<Option<Arc<ArrayObj>>>,
     regs: Vec<Value>,
@@ -180,6 +194,105 @@ impl ComScalar {
     }
 }
 
+/// One chunk of a DOALL instance: iterations `range` of the loop body,
+/// run on the chunk's own frame (a clone of the loop's frame with
+/// private-array copies and reduction identities already in place).
+struct Chunk {
+    body: u32,
+    var_slot: u32,
+    lo: i64,
+    step: i64,
+    range: Range<usize>,
+    frame: Frame,
+}
+
+/// What one team member hands back: its chunk's frame or runtime error,
+/// or the payload of a panic to re-raise on the posting thread.
+type ChunkResult = std::thread::Result<RunResult<Frame>>;
+
+/// A team member's mailbox. Each transition has exactly one waiter:
+/// the member waits for `chunk` (or `dismissed`), the posting thread
+/// for `result`.
+#[derive(Default)]
+struct SlotState {
+    chunk: Option<Chunk>,
+    result: Option<ChunkResult>,
+    dismissed: bool,
+}
+
+#[derive(Default)]
+struct Slot {
+    state: Mutex<SlotState>,
+    cv: Condvar,
+}
+
+impl Slot {
+    /// The lock, even if a panic poisoned it: the state is a mailbox,
+    /// consistent after every critical section.
+    fn lock(&self) -> MutexGuard<'_, SlotState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn post(&self, chunk: Chunk) {
+        self.lock().chunk = Some(chunk);
+        self.cv.notify_one();
+    }
+
+    /// The member's next chunk, or `None` once the team is dismissed. A
+    /// wake-up proves nothing: only a chunk in the mailbox is work.
+    fn next_chunk(&self) -> Option<Chunk> {
+        let mut s = self.lock();
+        loop {
+            if s.dismissed {
+                return None;
+            }
+            if let Some(c) = s.chunk.take() {
+                return Some(c);
+            }
+            s = self.cv.wait(s).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    fn finish(&self, r: ChunkResult) {
+        self.lock().result = Some(r);
+        self.cv.notify_one();
+    }
+
+    fn result(&self) -> ChunkResult {
+        let mut s = self.lock();
+        loop {
+            if let Some(r) = s.result.take() {
+                return r;
+            }
+            s = self.cv.wait(s).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    fn dismiss(&self) {
+        self.lock().dismissed = true;
+        self.cv.notify_all();
+    }
+}
+
+/// The persistent worker team of one parallel run: member `m` (1-based)
+/// owns `slots[m - 1]` and runs chunk `m` of every DOALL instance; the
+/// thread that reaches the DOALL runs chunk 0 itself.
+struct Team {
+    slots: Vec<Slot>,
+}
+
+/// Dismisses the team when the run ends — by return, error or unwind —
+/// so the enclosing `thread::scope` can join every member.
+struct Dismiss<'t>(&'t Team);
+
+impl Drop for Dismiss<'_> {
+    fn drop(&mut self) {
+        for slot in &self.0.slots {
+            slot.dismiss();
+        }
+    }
+}
+
 struct Vm<'p> {
     prog: &'p CompiledProgram,
     opts: &'p RunOptions,
@@ -198,6 +311,9 @@ struct Vm<'p> {
     shadow_exempt: Mutex<HashSet<usize>>,
     race_log: Mutex<Vec<String>>,
     instr_total: AtomicU64,
+    /// Present when some DOALL can run in parallel: more than one
+    /// worker, no validation, and a parallel `DoSpec` in the program.
+    team: Option<Team>,
 }
 
 /// Run a compiled program.
@@ -206,10 +322,29 @@ pub fn run(prog: &CompiledProgram, opts: &RunOptions) -> RunResult<RunOutput> {
 }
 
 /// Run and also report the number of bytecode instructions dispatched.
+///
+/// A run that can execute a DOALL in parallel first spawns its team —
+/// `workers - 1` members, parked until a DOALL posts them a chunk — and
+/// dismisses it when the main program ends.
 pub fn run_metered(prog: &CompiledProgram, opts: &RunOptions) -> RunResult<(RunOutput, u64)> {
     let vm = Vm::new(prog, opts);
     let mut ctx = ExecCtx::new();
-    let out = vm.run_main(&mut ctx)?;
+    let out = match &vm.team {
+        None => vm.run_main(&mut ctx),
+        Some(team) => std::thread::scope(|s| {
+            let _dismiss = Dismiss(team);
+            for (i, slot) in team.slots.iter().enumerate() {
+                let vm = &vm;
+                // Members keep std's default stack (2 MiB), which
+                // `rt::MAX_CALL_DEPTH` is sized for.
+                std::thread::Builder::new()
+                    .name(format!("ped-vm-team-{}", i + 1))
+                    .spawn_scoped(s, move || vm.member(slot))
+                    .expect("spawn a VM team member");
+            }
+            vm.run_main(&mut ctx)
+        }),
+    }?;
     let instrs = vm.instr_total.load(Ordering::Relaxed) + ctx.instrs;
     Ok((out, instrs))
 }
@@ -275,7 +410,59 @@ impl<'p> Vm<'p> {
             shadow_exempt: Mutex::new(HashSet::new()),
             race_log: Mutex::new(Vec::new()),
             instr_total: AtomicU64::new(0),
+            team: (opts.workers > 1
+                && !opts.validate_parallel
+                && prog
+                    .units
+                    .iter()
+                    .any(|u| u.do_specs.iter().any(|d| d.parallel)))
+            .then(|| Team {
+                slots: (1..opts.workers).map(|_| Slot::default()).collect(),
+            }),
         }
+    }
+
+    /// A team member's life: run each posted chunk, report, park again.
+    /// A panic is caught and handed to the posting thread, which
+    /// re-raises it, so a failing member never leaves the poster waiting.
+    fn member(&self, slot: &Slot) {
+        while let Some(chunk) = slot.next_chunk() {
+            slot.finish(panic::catch_unwind(AssertUnwindSafe(|| {
+                self.run_chunk(chunk)
+            })));
+        }
+    }
+
+    /// Run one DOALL chunk on this thread, in a context of its own.
+    fn run_chunk(&self, chunk: Chunk) -> RunResult<Frame> {
+        let Chunk {
+            body,
+            var_slot,
+            lo,
+            step,
+            range,
+            mut frame,
+        } = chunk;
+        let mut ctx = ExecCtx::new();
+        ctx.in_team = true;
+        let mut out = Ok(());
+        for k in range {
+            frame.scalars[var_slot as usize] = Some(Value::Int(lo + (k as i64) * step));
+            match self.exec_block(&mut frame, body, true, &mut ctx) {
+                Ok(Flow::Normal) => {}
+                Ok(_) => {
+                    out = err("control flow escapes a parallel loop");
+                    break;
+                }
+                Err(e) => {
+                    out = Err(e);
+                    break;
+                }
+            }
+        }
+        self.instr_total.fetch_add(ctx.instrs, Ordering::Relaxed);
+        self.flush_stats(&mut ctx);
+        out.map(|()| frame)
     }
 
     /// Merge a retiring context's thread-local counters into the
@@ -326,8 +513,11 @@ impl<'p> Vm<'p> {
         ctx: &mut ExecCtx,
     ) -> RunResult<Frame> {
         let cu = &self.prog.units[unit];
+        let depth = caller.map_or(0, |c| c.depth + 1);
+        check_call_depth(depth, &cu.name)?;
         let mut frame = Frame {
             unit,
+            depth,
             scalars: vec![None; cu.scalar_zero.len()],
             arrays: vec![None; cu.arrays.len()],
             regs: vec![Value::Int(0); cu.nregs as usize],
@@ -855,7 +1045,7 @@ impl<'p> Vm<'p> {
                 other => Ok(Ctl::Flow(other)),
             },
             Op::DoLoop { spec } => {
-                self.exec_do(frame, cu, &cu.do_specs[*spec as usize], in_parallel, ctx)
+                self.exec_do(frame, &cu.do_specs[*spec as usize], in_parallel, ctx)
             }
             Op::Serialized { len } => {
                 if !in_parallel {
@@ -921,7 +1111,6 @@ impl<'p> Vm<'p> {
     fn exec_do(
         &self,
         frame: &mut Frame,
-        cu: &CompiledUnit,
         spec: &DoSpec,
         in_parallel: bool,
         ctx: &mut ExecCtx,
@@ -945,10 +1134,10 @@ impl<'p> Vm<'p> {
         *ctx.loop_iters.entry(spec.stmt).or_insert(0) += trips as u64;
 
         if spec.parallel && self.opts.validate_parallel && !in_parallel {
-            return self.exec_do_validated(frame, cu, spec, lo, step, trips, ctx);
+            return self.exec_do_validated(frame, spec, lo, step, trips, ctx);
         }
         if spec.parallel && self.opts.workers > 1 && !in_parallel && trips > 1 {
-            return self.exec_do_parallel(frame, cu, spec, lo, step, trips);
+            return self.exec_do_parallel(frame, spec, lo, step, trips, ctx);
         }
         // Sequential execution.
         let traced = ctx
@@ -993,7 +1182,6 @@ impl<'p> Vm<'p> {
     fn exec_do_validated(
         &self,
         frame: &mut Frame,
-        _cu: &CompiledUnit,
         spec: &DoSpec,
         lo: i64,
         step: i64,
@@ -1046,26 +1234,21 @@ impl<'p> Vm<'p> {
     fn exec_do_parallel(
         &self,
         frame: &mut Frame,
-        _cu: &CompiledUnit,
         spec: &DoSpec,
         lo: i64,
         step: i64,
         trips: i64,
+        ctx: &ExecCtx,
     ) -> RunResult<Ctl> {
         self.parallel_loops.fetch_add(1, Ordering::Relaxed);
         self.parallel_iters
             .fetch_add(trips as u64, Ordering::Relaxed);
         let workers = self.opts.workers.min(trips as usize).max(1);
         let chunk = (trips as usize).div_ceil(workers);
-        let mut results: Vec<RunResult<Frame>> = Vec::with_capacity(workers);
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            for w in 0..workers {
-                let start = w * chunk;
-                let end = ((w + 1) * chunk).min(trips as usize);
-                if start >= end {
-                    break;
-                }
+        let chunks: Vec<Chunk> = (0..workers)
+            .map(|w| w * chunk..((w + 1) * chunk).min(trips as usize))
+            .take_while(|r| !r.is_empty())
+            .map(|range| {
                 let mut wframe = frame.clone();
                 // Privatize killed local arrays: each worker writes its
                 // own copy (contents are dead after the loop). The R(0.0)
@@ -1082,43 +1265,23 @@ impl<'p> Vm<'p> {
                     let current = wframe.scalars[*slot as usize].clone();
                     wframe.scalars[*slot as usize] = Some(identity_of(*op, current.as_ref()));
                 }
-                handles.push(scope.spawn(move || {
-                    let mut wctx = ExecCtx::new();
-                    let mut out: RunResult<Frame> = Ok(Frame {
-                        unit: 0,
-                        scalars: Vec::new(),
-                        arrays: Vec::new(),
-                        regs: Vec::new(),
-                    });
-                    for k in start..end {
-                        let iv = lo + (k as i64) * step;
-                        wframe.scalars[spec.var_slot as usize] = Some(Value::Int(iv));
-                        match self.exec_block(&mut wframe, spec.body, true, &mut wctx) {
-                            Ok(Flow::Normal) => {}
-                            Ok(_) => {
-                                out = Err(RuntimeError(
-                                    "control flow escapes a parallel loop".into(),
-                                ));
-                                break;
-                            }
-                            Err(e) => {
-                                out = Err(e);
-                                break;
-                            }
-                        }
-                    }
-                    self.instr_total.fetch_add(wctx.instrs, Ordering::Relaxed);
-                    self.flush_stats(&mut wctx);
-                    if out.is_ok() {
-                        out = Ok(wframe);
-                    }
-                    out
-                }));
-            }
-            for h in handles {
-                results.push(h.join().expect("worker panicked"));
-            }
-        });
+                Chunk {
+                    body: spec.body,
+                    var_slot: spec.var_slot,
+                    lo,
+                    step,
+                    range,
+                    frame: wframe,
+                }
+            })
+            .collect();
+        let results: Vec<RunResult<Frame>> = match &self.team {
+            Some(team) if !ctx.in_team => self.run_on_team(team, chunks),
+            // A DOALL inside a FUNCTION called from a DOALL body: this
+            // thread already runs a team chunk, so it runs these chunks
+            // itself, in worker order.
+            _ => chunks.into_iter().map(|c| self.run_chunk(c)).collect(),
+        };
         let mut worker_frames = Vec::with_capacity(results.len());
         for r in results {
             worker_frames.push(r?);
@@ -1149,5 +1312,28 @@ impl<'p> Vm<'p> {
         }
         frame.scalars[spec.var_slot as usize] = Some(Value::Int(lo + trips * step));
         Ok(Ctl::Next)
+    }
+
+    /// Post chunks 1.. to the team's members, run chunk 0 here, and
+    /// collect every result in worker order. Every posted chunk reports
+    /// before this returns, so the next DOALL finds all members idle.
+    fn run_on_team(&self, team: &Team, chunks: Vec<Chunk>) -> Vec<RunResult<Frame>> {
+        assert!(chunks.len() <= team.slots.len() + 1, "one chunk per worker");
+        let mut chunks = chunks.into_iter();
+        let first = chunks.next().expect("a parallel DOALL has a chunk");
+        let mut posted = 0;
+        for (slot, c) in team.slots.iter().zip(chunks) {
+            slot.post(c);
+            posted += 1;
+        }
+        let mut results = Vec::with_capacity(posted + 1);
+        results.push(self.run_chunk(first));
+        for slot in &team.slots[..posted] {
+            match slot.result() {
+                Ok(r) => results.push(r),
+                Err(payload) => panic::resume_unwind(payload),
+            }
+        }
+        results
     }
 }

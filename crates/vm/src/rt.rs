@@ -81,6 +81,27 @@ pub fn err<T>(msg: impl Into<String>) -> Result<T, RuntimeError> {
     Err(RuntimeError(msg.into()))
 }
 
+/// Deepest activation either engine enters: the main program is depth
+/// 0, and each CALL or function reference is one deeper than its
+/// caller. Fortran 77 has no recursion, and both engines recurse on the
+/// native stack per activation, so runaway recursion must end as a
+/// runtime error before it overflows a thread's stack. 64 activations
+/// take under 1 MiB of stack in an unoptimized build (about 11 KiB
+/// each on the VM, 9 KiB on the tree walk, without nested blocks), so
+/// the bound holds on a 2 MiB thread.
+pub const MAX_CALL_DEPTH: u32 = 64;
+
+/// The error both engines raise when entering `unit` at `depth` would
+/// pass [`MAX_CALL_DEPTH`].
+pub fn check_call_depth(depth: u32, unit: &str) -> RunResult<()> {
+    if depth > MAX_CALL_DEPTH {
+        return err(format!(
+            "call depth exceeds {MAX_CALL_DEPTH} entering {unit}"
+        ));
+    }
+    Ok(())
+}
+
 pub type RunResult<T> = Result<T, RuntimeError>;
 
 pub fn zero_of(ty: Type) -> Value {

@@ -445,13 +445,10 @@ fn pinging_connection_outlives_the_idle_ttl() {
     server.stop();
 }
 
-#[test]
-fn tree_walk_runtime_error_keeps_the_event_loop_alive() {
-    // The VM rejects this program (COMMON /B/ redeclared with more
-    // members), so `parallelize` runs its verify gate on the tree-walk
-    // interpreter. Its error must stay inside the response: the loop
-    // thread has to survive to answer the next request.
-    let source = "      PROGRAM P\n      COMMON /B/ X\n      X = 1.0\n      CALL S\n      PRINT *, X\n      END\n      SUBROUTINE S\n      COMMON /B/ X, Y\n      Y = 2.0\n      END\n";
+/// Open `source` in a fresh one-loop server, send `parallelize`, then
+/// `ping`: the loop thread must survive to answer. Returns the
+/// `parallelize` response.
+fn parallelize_then_ping(source: &str) -> String {
     let mut server = spawn_server(ServerConfig {
         workers: 1,
         ..Default::default()
@@ -471,10 +468,28 @@ fn tree_walk_runtime_error_keeps_the_event_loop_alive() {
         assert!(resp.ends_with('\n'), "no response for {req}");
         resp
     };
-    let r = ask(&open_source_request(1, "common", source));
+    let r = ask(&open_source_request(1, "s", source));
     assert!(r.contains("\"ok\":true"), "{r}");
-    ask("{\"id\":2,\"method\":\"parallelize\",\"params\":{\"session\":\"common\"}}");
+    let par = ask("{\"id\":2,\"method\":\"parallelize\",\"params\":{\"session\":\"s\"}}");
     let r = ask("{\"id\":3,\"method\":\"ping\"}");
     assert!(r.contains("\"pong\":true"), "{r}");
     server.stop();
+    par
+}
+
+#[test]
+fn tree_walk_runtime_error_keeps_the_event_loop_alive() {
+    // The VM rejects this program (COMMON /B/ redeclared with more
+    // members), so `parallelize` runs its verify gate on the tree-walk
+    // interpreter. Its error must stay inside the response: the loop
+    // thread has to survive to answer the next request.
+    parallelize_then_ping("      PROGRAM P\n      COMMON /B/ X\n      X = 1.0\n      CALL S\n      PRINT *, X\n      END\n      SUBROUTINE S\n      COMMON /B/ X, Y\n      Y = 2.0\n      END\n");
+}
+
+#[test]
+fn endless_recursion_is_a_parallelize_error_not_an_abort() {
+    // The recursion must end as a runtime error inside the response: a
+    // stack overflow would abort the whole server.
+    let r = parallelize_then_ping("      PROGRAM P\n      CALL S\n      END\n      SUBROUTINE S\n      X = 1.0\n      CALL S\n      END\n");
+    assert!(r.contains("call depth exceeds 64 entering S"), "{r}");
 }
