@@ -39,6 +39,7 @@ fn scalar_pipeline_builds_each_artifact_once() {
     // CALL-free, so the plain and effects-aware tables share a single
     // build), one Cfg — not the historical two of each.
     let body_stmt = s.ua.nest.get(ped_analysis::loops::LoopId(0)).body[0];
+    let hits0 = s.stats().scalar_hits;
     let (sym0, refs0, cfg0) = counts();
     s.edit_statement(body_stmt, "A(I) = 0.0").unwrap();
     let (sym1, refs1, cfg1) = counts();
@@ -50,4 +51,9 @@ fn scalar_pipeline_builds_each_artifact_once() {
     // one scalar miss beyond open's two prewarm builds.
     let st = s.stats();
     assert_eq!(st.scalar_misses, 3, "2 prewarm builds + 1 edit rebuild");
+    assert_eq!(
+        st.scalar_hits - hits0,
+        1,
+        "the unedited unit is served from the memo"
+    );
 }

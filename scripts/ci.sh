@@ -1,8 +1,14 @@
 #!/bin/sh
 # The tier-1 gate: formatting, release build (library, binaries, and
 # examples), and the test suite of every workspace member — including
-# the dependence differential oracle (`hierarchy_oracle`), the
-# interning goldens (`interning_oracle`) and the single-build gate
+# the dependence differential oracle (`hierarchy_oracle`: fast path ==
+# general tester at 1 and 8 threads over every workload and synth60),
+# the engine oracle (`vm_oracle`: VM == tree walk, serially, at 8
+# workers and under validation), the validate verdicts
+# (`validate_dynamic`), the server oracle (`tests/server.rs`: 8
+# concurrent clients byte-identical to `oracle_replay`, 1024 sessions
+# over 32 connections), the scalar-store check (`tests/incremental.rs`),
+# the interning goldens (`interning_oracle`) and the single-build gate
 # (`build_counts`).
 set -e
 cd "$(dirname "$0")/.."
@@ -20,27 +26,6 @@ if ./target/release/ped-lint examples/fortran/recurrence.f >/dev/null; then
     exit 1
 fi
 echo "ci: ped-lint self-check passed"
-
-# Dependence-engine smoke: fast-vs-general over every workload unit.
-# The smoke also runs the scalar-store gate: a forced no-op reanalyze
-# of every workload must record zero scalar-facts misses (nothing
-# rebuilt).
-./target/release/ped-bench --smoke
-echo "ci: dependence smoke passed"
-
-# Server smoke gate: 8 concurrent wire clients against the nonblocking
-# event loop, every response byte-identical to the single-threaded
-# in-process oracle.
-./target/release/ped-serve-bench --smoke
-echo "ci: server oracle smoke passed"
-
-# Bytecode-VM gate: every workload (plus synth60) must execute
-# byte-identically on the VM vs the tree-walk interpreter — output
-# lines, race reports, step counts, and parallel-loop stats — serially
-# and under 8 workers, and the tracing validate pass must classify the
-# known-spurious assumed edge as disproven.
-./target/release/ped-vm-bench --smoke
-echo "ci: vm byte-identity smoke passed"
 
 # Auto-parallelizer gate: ped-par over every workload (plus synth60)
 # must classify all nests, and every emitted CDOALL must survive its

@@ -128,24 +128,41 @@ fn marks_carry_across_real_rebuilds() {
 
 #[test]
 fn warm_rebuild_matches_cold_open_on_all_workloads() {
-    for p in ped_workloads::all_programs() {
-        let prog = parse_ok(p.source);
+    let mut sources: Vec<(String, String)> = ped_workloads::all_programs()
+        .into_iter()
+        .map(|p| (p.name.to_string(), p.source.to_string()))
+        .collect();
+    sources.push(("synth60".into(), ped_workloads::synthetic_source(60)));
+    for (name, source) in sources {
+        let prog = parse_ok(&source);
+        let units = prog.units.len() as u64;
         let mut warm = PedSession::open(prog.clone());
+        let before = warm.stats();
         // Force a rebuild with the pair cache fully hot.
         warm.cache.invalidate();
         warm.reanalyze();
+        // The scalar-facts store serves every unit of the unchanged
+        // program: no rebuild, exactly one hit per unit.
+        let after = warm.stats();
+        assert_eq!(
+            after.scalar_misses, before.scalar_misses,
+            "{name}: forced no-op reanalyze rebuilt scalar facts"
+        );
+        assert_eq!(
+            after.scalar_hits - before.scalar_hits,
+            units,
+            "{name}: forced no-op reanalyze must hit once per unit"
+        );
         let cold = PedSession::open(prog);
         assert_eq!(
             cold.ua.graph.deps, warm.ua.graph.deps,
-            "{}: warm rebuild diverged from cold open",
-            p.name
+            "{name}: warm rebuild diverged from cold open"
         );
         let (_, _, pair_hits, _) = warm.cache_stats();
         if !warm.ua.graph.is_empty() {
             assert!(
                 pair_hits > 0,
-                "{}: rebuild of unchanged unit should hit",
-                p.name
+                "{name}: rebuild of unchanged unit should hit"
             );
         }
     }

@@ -100,6 +100,81 @@ fn concurrent_clients_byte_identical_to_oracle() {
     server.stop();
 }
 
+/// Over a thousand live sessions multiplexed over 32 connections: a
+/// session costs state, not a thread or a file descriptor per client.
+/// Every connection opens its sessions, all of them are live together
+/// at the barrier, and `close` releases every one.
+#[test]
+fn a_thousand_sessions_share_32_connections() {
+    const CONNECTIONS: usize = 32;
+    const PER_CONN: usize = 32;
+    let mut server = spawn_server(ServerConfig {
+        manager: ManagerConfig {
+            max_sessions: 4096,
+            idle_ttl: Duration::from_secs(600),
+            ..Default::default()
+        },
+        ..Default::default()
+    });
+    let addr = server.addr;
+    // Each connection reports once its sessions are open, then waits for
+    // `go`. A connection that panics drops its sender unsent, so the
+    // count below fails at once instead of waiting on a barrier forever.
+    let (opened_tx, opened_rx) = std::sync::mpsc::channel::<()>();
+    let go = std::sync::Arc::new(std::sync::Barrier::new(CONNECTIONS + 1));
+    let source = recurrence_source(2);
+    let handles: Vec<_> = (0..CONNECTIONS)
+        .map(|c| {
+            let opened_tx = opened_tx.clone();
+            let go = std::sync::Arc::clone(&go);
+            let source = source.clone();
+            std::thread::spawn(move || {
+                let stream = TcpStream::connect(addr).expect("connect");
+                stream.set_nodelay(true).unwrap();
+                let mut writer = stream.try_clone().unwrap();
+                let mut reader = BufReader::new(stream);
+                let mut ask = |req: &str| {
+                    writer.write_all(req.as_bytes()).unwrap();
+                    writer.write_all(b"\n").unwrap();
+                    let mut resp = String::new();
+                    reader.read_line(&mut resp).unwrap();
+                    assert!(resp.contains("\"ok\":true"), "{req} -> {resp}");
+                };
+                for s in 0..PER_CONN {
+                    ask(&open_source_request(1, &format!("m{c}s{s}"), &source));
+                }
+                opened_tx.send(()).unwrap();
+                drop(opened_tx);
+                go.wait(); // the main thread has counted the live sessions
+                for s in 0..PER_CONN {
+                    let session = format!("m{c}s{s}");
+                    ask(&deps_request(2, &session));
+                    ask(&format!(
+                        "{{\"id\":3,\"method\":\"close\",\"params\":{{\"session\":\"{session}\"}}}}"
+                    ));
+                }
+            })
+        })
+        .collect();
+    drop(opened_tx);
+    for _ in 0..CONNECTIONS {
+        opened_rx
+            .recv()
+            .expect("a connection failed while opening its sessions");
+    }
+    let peak = server.manager.len();
+    go.wait();
+    for h in handles {
+        h.join().expect("connection thread panicked");
+    }
+    assert!(
+        peak >= 1000,
+        "only {peak} sessions live concurrently; wanted >= 1000"
+    );
+    assert_eq!(server.manager.len(), 0, "sessions leaked after close");
+    server.stop();
+}
+
 #[test]
 fn oversized_requests_are_rejected() {
     let mut server = spawn_server(ServerConfig {
